@@ -117,8 +117,8 @@ struct ChurnHandler {
 };
 static_assert(sizeof(ChurnHandler) == 32);
 
-// Deterministic out-of-order schedule times: exercises heap sift paths
-// instead of the trivial append-only fast path.
+// Deterministic out-of-order schedule times: exercises bucket spread and
+// the legacy heap's sift paths instead of a trivial append-only fast path.
 inline Nanos ChurnTime(Nanos base, uint64_t i, uint64_t batch) {
   return base + static_cast<Nanos>((i * 7919) % batch);
 }
@@ -171,16 +171,11 @@ BENCHMARK(BM_LegacyScheduleDrain)->Arg(256)->Arg(4096);
 // minutes apart can drift 30-50% for reasons that have nothing to do with
 // the code; interleaving at round granularity (tens of microseconds) makes
 // the noise hit both engines equally and cancel in the ratio. This counter
-// is what scripts/bench_report.sh gates on.
-//
-// Three backend flavours: the default (auto — what every experiment binary
-// runs, with a `wheel_active` counter recording which backend the density
-// heuristic settled on) plus heap- and wheel-pinned runs so the report can
-// show both backends' curves side by side. The wheel variant also reports
-// cascades per event — near zero here, since churn schedules land within a
-// 16K-tick horizon (at most two levels).
-void RunSpeedupChurn(benchmark::State& state, EngineBackend backend) {
-  Simulation engine(backend);
+// is what scripts/bench_report.sh gates on. Cascades per event ride along —
+// near zero here, since churn schedules land within a 16K-tick horizon (at
+// most two wheel levels).
+void BM_ScheduleDrainSpeedup(benchmark::State& state) {
+  Simulation engine;
   LegacySimulation legacy;
   uint64_t fired = 0;
   const auto batch = static_cast<uint64_t>(state.range(0));
@@ -204,45 +199,13 @@ void RunSpeedupChurn(benchmark::State& state, EngineBackend backend) {
     state.counters["speedup"] = benchmark::Counter(
         static_cast<double>(tsc_legacy) / static_cast<double>(tsc_engine));
   }
-  if (backend == EngineBackend::kAuto) {
-    // The selection decision: 1 when the density heuristic kept (or chose)
-    // the wheel for this batch size, 0 when it migrated to the heap.
-    state.counters["wheel_active"] =
-        benchmark::Counter(engine.wheel_active() ? 1.0 : 0.0);
-    state.counters["backend_switches"] =
-        benchmark::Counter(static_cast<double>(engine.backend_switches()));
-  }
-  if (backend == EngineBackend::kWheel && events > 0) {
+  if (events > 0) {
     state.counters["cascades_per_event"] = benchmark::Counter(
         static_cast<double>(engine.wheel_cascades()) /
         static_cast<double>(events));
   }
 }
-
-void BM_ScheduleDrainSpeedup(benchmark::State& state) {
-  RunSpeedupChurn(state, EngineBackend::kAuto);
-}
 BENCHMARK(BM_ScheduleDrainSpeedup)
-    ->Arg(256)
-    ->Arg(512)
-    ->Arg(1024)
-    ->Arg(4096)
-    ->Arg(16384);
-
-void BM_ScheduleDrainSpeedupHeap(benchmark::State& state) {
-  RunSpeedupChurn(state, EngineBackend::kHeap);
-}
-BENCHMARK(BM_ScheduleDrainSpeedupHeap)
-    ->Arg(256)
-    ->Arg(512)
-    ->Arg(1024)
-    ->Arg(4096)
-    ->Arg(16384);
-
-void BM_ScheduleDrainSpeedupWheel(benchmark::State& state) {
-  RunSpeedupChurn(state, EngineBackend::kWheel);
-}
-BENCHMARK(BM_ScheduleDrainSpeedupWheel)
     ->Arg(256)
     ->Arg(512)
     ->Arg(1024)
@@ -255,7 +218,7 @@ BENCHMARK(BM_ScheduleDrainSpeedupWheel)
 // This is the wheel's worst case — the report gates that it stays
 // allocation-free and records the cascade amplification (moves per event).
 void BM_CascadeStress(benchmark::State& state) {
-  Simulation engine(EngineBackend::kWheel);
+  Simulation engine;
   uint64_t fired = 0;
   const auto batch = static_cast<uint64_t>(state.range(0));
   auto round = [&] {

@@ -8,10 +8,8 @@
 // Usage:
 //   fleet_demo [--servers N] [--policy random|rss|rr|po2c|shortest-q]
 //              [--seed S] [--duration-ms MS] [--load F] [--out DIR]
-//              [--engine auto|heap|wheel]
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <string>
 
 #include "src/fleet/fleet_sim.h"
@@ -22,8 +20,7 @@ namespace {
 int Usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s [--servers N] [--policy NAME] [--seed S] "
-               "[--duration-ms MS] [--load F] [--out DIR] "
-               "[--engine auto|heap|wheel]\n"
+               "[--duration-ms MS] [--load F] [--out DIR]\n"
                "  policies: random rss rr po2c shortest-q\n",
                argv0);
   return 2;
@@ -40,7 +37,6 @@ int main(int argc, char** argv) {
   long duration_ms = 50;
   double load = 0.7;
   std::string out_dir;
-  EngineBackend backend = EngineBackend::kAuto;
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -66,12 +62,6 @@ int main(int argc, char** argv) {
     } else if (arg == "--out" && value != nullptr) {
       out_dir = value;
       ++i;
-    } else if (arg == "--engine" && value != nullptr) {
-      if (!ParseEngineBackend(value, &backend)) {
-        std::fprintf(stderr, "unknown engine backend: %s\n", value);
-        return Usage(argv[0]);
-      }
-      ++i;
     } else {
       return Usage(argv[0]);
     }
@@ -88,7 +78,6 @@ int main(int argc, char** argv) {
       load * static_cast<double>(servers) * workload.PeakLoadRps(8);
   config.duration = duration_ms * kMillisecond;
   config.seed = seed;
-  config.engine_backend = backend;
   config.policy = FleetPolicyConfig::Default(kind);
   config.introspect_dir = out_dir;
 
@@ -99,10 +88,8 @@ int main(int argc, char** argv) {
   });
   fleet.Run();
 
-  std::printf("fleet: %u servers, policy=%s, engine=%s, seed=%llu, %ld ms at "
-              "%.0f%% load\n",
+  std::printf("fleet: %u servers, policy=%s, seed=%llu, %ld ms at %.0f%% load\n",
               servers, FleetPolicyName(kind).c_str(),
-              EngineBackendName(backend),
               static_cast<unsigned long long>(seed), duration_ms, load * 100);
   std::printf("  generated %llu requests, fleet p99.9 slowdown %.1fx\n",
               static_cast<unsigned long long>(fleet.generated()),

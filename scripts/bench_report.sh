@@ -4,7 +4,8 @@
 # policy sweep, merges everything into one machine-readable report (default
 # BENCH_PR10.json) and validates it. The report header records the host (core count, CPU model,
 # frequency governor) so numbers from different machines are never compared
-# blind. Each stage prints its wall-clock seconds so sweep-level speedups
+# blind, and a `loc` block records the line counts of the git-tracked src/
+# and scripts/ trees, so shrinkage is tracked like speed. Each stage prints its wall-clock seconds so sweep-level speedups
 # (e.g. the fleet stage on the timer-wheel event core) are visible directly
 # in CI output.
 #
@@ -21,8 +22,7 @@
 #     interleaved measurement is memory-bound for both engines. The paired
 #     benchmark interleaves engine and legacy rounds so the shared-box clock
 #     wander cancels in the ratio; see bench/micro_sim_engine.cc and
-#     docs/PERF.md for the methodology. The report also records which backend
-#     the auto heuristic selected per batch (engine.backend_selected_*).
+#     docs/PERF.md for the methodology.
 #   * scrape-under-load: a 10 Hz GET /metrics scraper against the live admin
 #     plane must keep the client-observed p99 within 5% of baseline
 #     (bench/micro_introspect.cc); failed scrapes are always fatal, the 5%
@@ -80,6 +80,13 @@ else
   HOST_GOVERNOR=none  # no cpufreq (VM / fixed-frequency host)
 fi
 
+# Line count of the git-tracked files under one directory (0 outside git).
+tracked_lines() {
+  git ls-files -z -- "$1" 2>/dev/null | xargs -0 -r cat | wc -l
+}
+LOC_SRC=$(tracked_lines src)
+LOC_SCRIPTS=$(tracked_lines scripts)
+
 # Per-stage wall clock: stage <name> starts a stage, stage_done closes it.
 STAGE_NAME=""
 STAGE_T0=0
@@ -112,7 +119,7 @@ else
   ENGINE_MIN_TIME=1
 fi
 
-stage engine "micro_sim_engine (events/sec, allocs/event, paired speedup x3 backends)"
+stage engine "micro_sim_engine (events/sec, allocs/event, paired speedup)"
 "$BUILD/bench/micro_sim_engine" \
   --benchmark_min_time="$ENGINE_MIN_TIME" \
   --benchmark_format=json >"$WORK/engine.json"
@@ -210,7 +217,7 @@ stage_done
 MODE=$([ "$SMOKE" = 1 ] && echo smoke || echo full) \
 FIG03_MS="$FIG03_MS" FLEET_MS="$FLEET_MS" DEADLINE_MS="$DEADLINE_MS" \
 HOST_CORES="$HOST_CORES" HOST_CPU_MODEL="$HOST_CPU_MODEL" \
-HOST_GOVERNOR="$HOST_GOVERNOR" \
+HOST_GOVERNOR="$HOST_GOVERNOR" LOC_SRC="$LOC_SRC" LOC_SCRIPTS="$LOC_SCRIPTS" \
 python3 - "$WORK" "$OUT" <<'PY'
 import json, os, sys
 
@@ -311,20 +318,9 @@ for batch in (256, 4096):
     eng[f"legacy_events_per_sec_{batch}"] = old
 # Paired speedups: engine and legacy rounds interleaved in one measured loop,
 # ratio of TSC totals — clock wander cancels. These are the gated numbers.
-# The default (auto-selected) engine is what gates; heap-/wheel-pinned runs
-# record both backends' curves, and backend_selected_* records the auto
-# heuristic's per-batch decision.
 for batch in (256, 512, 1024, 4096, 16384):
     eng[f"paired_speedup_{batch}"] = bench(
         engine, f"BM_ScheduleDrainSpeedup/{batch}", "speedup")
-    eng[f"heap_paired_speedup_{batch}"] = bench(
-        engine, f"BM_ScheduleDrainSpeedupHeap/{batch}", "speedup")
-    eng[f"wheel_paired_speedup_{batch}"] = bench(
-        engine, f"BM_ScheduleDrainSpeedupWheel/{batch}", "speedup")
-    wheel_active = bench(
-        engine, f"BM_ScheduleDrainSpeedup/{batch}", "wheel_active")
-    eng[f"backend_selected_{batch}"] = (
-        "wheel" if wheel_active >= 0.5 else "heap")
 eng["cascade_stress_allocs_per_event"] = bench(
     engine, "BM_CascadeStress/4096", "allocs_per_event")
 eng["cascade_stress_cascades_per_event"] = bench(
@@ -364,6 +360,10 @@ report = {
         "cores": int(os.environ["HOST_CORES"]),
         "cpu_model": os.environ["HOST_CPU_MODEL"],
         "governor": os.environ["HOST_GOVERNOR"],
+    },
+    "loc": {
+        "src": int(os.environ["LOC_SRC"]),
+        "scripts": int(os.environ["LOC_SCRIPTS"]),
     },
     "fig03_duration_ms": int(os.environ["FIG03_MS"]),
     "engine": eng,
@@ -471,8 +471,8 @@ if eng["cascade_stress_allocs_per_event"] > 0.01:
 
 # Speedup gates. With the timer wheel, every population the paper-figure
 # experiments and the fleet sweeps hold in flight — 256 through 4096 — must
-# clear the full 3x bar (the heap-only engine collapsed to ~1.5x at 4096;
-# its curve is still recorded under heap_paired_speedup_*). Only the 16384
+# clear the full 3x bar (the heap-only engine collapsed to ~1.5x at 4096,
+# BENCH_PR3.json). Only the 16384
 # point keeps a floor: ~2.8 MB of combined engine+legacy working set makes
 # the interleaved measurement memory-bound for both sides. See docs/PERF.md.
 rep_speedup = min(eng["paired_speedup_256"], eng["paired_speedup_512"],
@@ -559,13 +559,8 @@ print("  paired engine speedup: " + ", ".join(
     f"{eng[f'paired_speedup_{b}']:.2f}x@{b}"
     for b in (256, 512, 1024, 4096, 16384))
     + " (target >= 3x at 256-4096, floor 2.5x at 16384)")
-print("  backend selected (auto): " + ", ".join(
-    f"{eng[f'backend_selected_{b}']}@{b}"
-    for b in (256, 512, 1024, 4096, 16384)))
-print("  wheel-pinned speedup: " + ", ".join(
-    f"{eng[f'wheel_paired_speedup_{b}']:.2f}x@{b}"
-    for b in (256, 1024, 4096, 16384))
-    + f"; heap-pinned @4096: {eng['heap_paired_speedup_4096']:.2f}x")
+print(f"  lines of code: src {report['loc']['src']}, "
+      f"scripts {report['loc']['scripts']}")
 print(f"  cascade stress: "
       f"{eng['cascade_stress_cascades_per_event']:.2f} cascades/event, "
       f"{eng['cascade_stress_allocs_per_event']:.4f} allocs/event (want 0)")

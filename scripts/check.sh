@@ -22,11 +22,7 @@
 #   fleet             - fleet determinism smoke: run the multi-server sim
 #                       (examples/fleet_demo) twice with the same seed and
 #                       require byte-identical fleet.json artifacts, then a
-#                       different seed and require divergence — on BOTH event
-#                       queue backends (--engine heap and --engine wheel);
-#                       finally require the two backends to agree on every
-#                       fleet.json field except the backend's own
-#                       fleet.sim.engine.* instrumentation.
+#                       different seed and require divergence.
 #   ingress           - socket-ingress smoke: a real two-process exchange over
 #                       loopback — examples/udp_server on an ephemeral port
 #                       driven by the external tools/psp_loadgen; responses
@@ -144,10 +140,7 @@ run_thread() {
 # seed, policy decisions, telemetry aggregation — must replay bit-identically
 # for a seed. Two same-seed runs are compared byte-for-byte on fleet.json;
 # a third run with another seed must diverge (guards against the artifact
-# not actually depending on the run). The whole golden runs against both
-# event-queue backends, and the two backends must agree on every field
-# except their own fleet.sim.engine.* instrumentation (the cross-backend
-# ordering-contract check at fleet scale).
+# not actually depending on the run).
 run_fleet() {
   local build=${1:-build}
   cmake -B "$build" -S . >/dev/null
@@ -156,53 +149,24 @@ run_fleet() {
   rm -rf "$work"
   mkdir -p "$work"
   local flags="--servers 3 --policy shortest-q --duration-ms 20 --load 0.7"
-  local engine
-  for engine in heap wheel; do
-    # shellcheck disable=SC2086
-    "$build/examples/fleet_demo" $flags --engine "$engine" --seed 42 \
-      --out "$work/$engine-a" >/dev/null
-    # shellcheck disable=SC2086
-    "$build/examples/fleet_demo" $flags --engine "$engine" --seed 42 \
-      --out "$work/$engine-b" >/dev/null
-    # shellcheck disable=SC2086
-    "$build/examples/fleet_demo" $flags --engine "$engine" --seed 43 \
-      --out "$work/$engine-c" >/dev/null
-    if ! cmp -s "$work/$engine-a/fleet.json" "$work/$engine-b/fleet.json"; then
-      echo "fleet smoke FAILED: same-seed runs differ on fleet.json" \
-           "(--engine $engine)" >&2
-      diff "$work/$engine-a/fleet.json" "$work/$engine-b/fleet.json" \
-        | head -5 >&2 || true
-      return 1
-    fi
-    if cmp -s "$work/$engine-a/fleet.json" "$work/$engine-c/fleet.json"; then
-      echo "fleet smoke FAILED: different seeds produced identical" \
-           "fleet.json (--engine $engine)" >&2
-      return 1
-    fi
-    python3 -m json.tool "$work/$engine-a/fleet.json" >/dev/null
-  done
-  # Cross-backend: identical except the backend's own counters.
-  python3 - "$work/heap-a/fleet.json" "$work/wheel-a/fleet.json" <<'PY'
-import json, sys
-
-def strip(node):
-    if isinstance(node, dict):
-        return {k: strip(v) for k, v in node.items()
-                if "sim.engine." not in k}
-    if isinstance(node, list):
-        return [strip(v) for v in node]
-    return node
-
-with open(sys.argv[1]) as f:
-    heap = strip(json.load(f))
-with open(sys.argv[2]) as f:
-    wheel = strip(json.load(f))
-if heap != wheel:
-    sys.exit("fleet smoke FAILED: heap and wheel backends disagree on "
-             "fleet.json beyond sim.engine.* instrumentation")
-PY
-  echo "fleet smoke OK (both backends: same-seed byte-identical, seeds" \
-       "diverge, heap == wheel modulo engine counters)"
+  # shellcheck disable=SC2086
+  "$build/examples/fleet_demo" $flags --seed 42 --out "$work/a" >/dev/null
+  # shellcheck disable=SC2086
+  "$build/examples/fleet_demo" $flags --seed 42 --out "$work/b" >/dev/null
+  # shellcheck disable=SC2086
+  "$build/examples/fleet_demo" $flags --seed 43 --out "$work/c" >/dev/null
+  if ! cmp -s "$work/a/fleet.json" "$work/b/fleet.json"; then
+    echo "fleet smoke FAILED: same-seed runs differ on fleet.json" >&2
+    diff "$work/a/fleet.json" "$work/b/fleet.json" | head -5 >&2 || true
+    return 1
+  fi
+  if cmp -s "$work/a/fleet.json" "$work/c/fleet.json"; then
+    echo "fleet smoke FAILED: different seeds produced identical" \
+         "fleet.json" >&2
+    return 1
+  fi
+  python3 -m json.tool "$work/a/fleet.json" >/dev/null
+  echo "fleet smoke OK (same-seed byte-identical, seeds diverge)"
 }
 
 # Socket-ingress smoke: the kernel-UDP frontend as an operator would run it —

@@ -36,7 +36,6 @@ FleetSimulation::FleetSimulation(WorkloadSpec workload, FleetSimConfig config,
                                  PolicyFactory factory)
     : config_(config),
       workload_(std::move(workload)),
-      sim_(config.engine_backend),
       policy_(FleetDispatchPolicy::Create(config.policy, config.num_servers)),
       arrival_rng_(Rng::StreamSeed(config.seed, 0)),
       policy_rng_(Rng::StreamSeed(config.seed, 1)),
@@ -193,13 +192,13 @@ FleetSnapshot FleetSimulation::fleet_snapshot() const {
   snap.counters["fleet.generated"] = generated_;
   snap.counters["fleet.depth_refreshes"] = depth_refreshes_;
   snap.gauges["fleet.num_servers"] = config_.num_servers;
-  // The shared event queue's backend counters (per-server snapshots omit
-  // them in fleet mode — the queue is fleet-owned, so it reports here once).
+  // The shared event queue's counters (per-server snapshots omit them in
+  // fleet mode — the queue is fleet-owned, so it reports here once).
   snap.counters["fleet.sim.engine.executed"] = sim_.executed_events();
   snap.counters["fleet.sim.engine.cascades"] = sim_.wheel_cascades();
   snap.counters["fleet.sim.engine.rollovers"] = sim_.wheel_rollovers();
-  snap.counters["fleet.sim.engine.backend_switches"] =
-      sim_.backend_switches();
+  // Always 1; bench/e2e/sim.cc reads it for the fleet point's
+  // sim.wheel_active.
   snap.gauges["fleet.sim.engine.wheel_active"] = sim_.wheel_active() ? 1 : 0;
   for (uint32_t i = 0; i < config_.num_servers; ++i) {
     const std::string key = "fleet.server." + std::to_string(i);

@@ -54,9 +54,6 @@ struct FleetSimConfig {
   Nanos net_one_way = 5 * kMicrosecond;  // client -> fleet dispatcher hop
   Nanos dispatch_cost = 50;      // fleet decision, serial per request
   uint64_t seed = 42;
-  // Backend for the fleet's single shared event queue (servers in fleet mode
-  // never build their own); auto = density heuristic, see EngineBackend.
-  EngineBackend engine_backend = EngineBackend::kAuto;
   FleetPolicyConfig policy;
   // When non-empty, Run() writes fleet.json and metrics.prom here, plus the
   // usual per-server artifacts under <dir>/server<i>/.
@@ -89,8 +86,6 @@ class FleetSimulation {
   uint32_t num_servers() const { return config_.num_servers; }
   ClusterEngine& server(uint32_t i) { return *servers_[i]; }
   const ClusterEngine& server(uint32_t i) const { return *servers_[i]; }
-  const FleetSimConfig& config() const { return config_; }
-  const FleetDispatchPolicy& policy() const { return *policy_; }
   uint64_t generated() const { return generated_; }
   uint64_t dispatched(uint32_t server) const {
     return dispatched_per_server_[server];

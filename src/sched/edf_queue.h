@@ -1,8 +1,9 @@
 // Bucketed earliest-deadline-first queue in the Eiffel find-first-set style
-// already used by the simulator's timer wheel (src/sim/event_queue.h): a ring
-// of deadline buckets with a two-level occupancy bitmap, so push and
-// pop-earliest are O(1) — one bucket append and one constant-bound bitmap
-// scan — instead of the O(log n) of a comparison heap.
+// shared with the simulator's timer wheel (src/sim/event_queue.h): a ring of
+// deadline buckets over one two-level occupancy bitmap
+// (src/common/ffs_bitmap.h), so push and pop-earliest are O(1) — one bucket
+// append and at most two constant-bound bitmap scans — instead of the
+// O(log n) of a comparison heap.
 //
 // Layout: bucket b holds requests whose absolute deadline falls in tick
 // b = deadline >> bucket_shift. The queue keeps a monotone cursor (the tick
@@ -31,17 +32,15 @@
 #include <cstdint>
 #include <vector>
 
+#include "src/common/ffs_bitmap.h"
 #include "src/core/request.h"
 
 namespace psp {
 
 class EdfQueue {
  public:
-  // 4096 buckets × 64 bits-per-word = a 64-word bitmap with a single
-  // summary word on top — the same two-level FFS shape as the timer wheel's
-  // per-level bitmaps, sized so one summary word covers the whole ring.
+  // 4096 buckets: the largest ring one FfsBitmap summary word covers.
   static constexpr uint32_t kBuckets = 4096;
-  static constexpr uint32_t kBitmapWords = kBuckets / 64;
 
   // `bucket_shift` sets the bucket width to 2^shift nanos (default 2^10 ≈
   // 1 µs — finer than any service time the paper's workloads schedule, so
@@ -77,7 +76,7 @@ class EdfQueue {
     const uint64_t tick = TickFor(request);
     const uint32_t slot = static_cast<uint32_t>(tick) & (kBuckets - 1);
     buckets_[slot].push_back(request);
-    MarkOccupied(slot);
+    occupied_.Set(slot);
     size_.store(size + 1, std::memory_order_relaxed);
     return true;
   }
@@ -95,7 +94,7 @@ class EdfQueue {
     *out = bucket.front();
     bucket.erase(bucket.begin());
     if (bucket.empty()) {
-      ClearOccupied(slot);
+      occupied_.Clear(slot);
     }
     // Commit the cursor to the popped bucket so the ring window stays
     // anchored at the earliest live deadline.
@@ -115,7 +114,6 @@ class EdfQueue {
 
   bool Empty() const { return Size() == 0; }
   size_t Size() const { return size_.load(std::memory_order_relaxed); }
-  size_t capacity() const { return capacity_; }
   uint64_t drops() const { return drops_.load(std::memory_order_relaxed); }
   Nanos bucket_width() const { return Nanos{1} << bucket_shift_; }
 
@@ -144,49 +142,23 @@ class EdfQueue {
     return cursor_ + delta;
   }
 
-  void MarkOccupied(uint32_t slot) {
-    bitmap_[slot >> 6] |= uint64_t{1} << (slot & 63);
-    summary_ |= uint64_t{1} << (slot >> 6);
-  }
-
-  void ClearOccupied(uint32_t slot) {
-    bitmap_[slot >> 6] &= ~(uint64_t{1} << (slot & 63));
-    if (bitmap_[slot >> 6] == 0) {
-      summary_ &= ~(uint64_t{1} << (slot >> 6));
-    }
-  }
-
   // Circular find-first-set starting at the cursor's ring slot. Because all
   // live entries fall in [cursor, cursor + kBuckets), the first hit going
-  // clockwise from the cursor is the earliest absolute tick. Two-level:
-  // the summary word narrows to a 64-bucket word, one ctz narrows to the
-  // bucket — constant work regardless of population.
+  // clockwise from the cursor is the earliest absolute tick: search the
+  // slots at or after the cursor's, then wrap to the start of the ring.
   uint32_t FindFirstOccupied() const {
     const uint32_t start = static_cast<uint32_t>(cursor_) & (kBuckets - 1);
-    const uint32_t start_word = start >> 6;
-    // The start word needs its low bits masked; subsequent words are whole.
-    const uint64_t head =
-        bitmap_[start_word] & (~uint64_t{0} << (start & 63));
-    if (head != 0) {
-      return start_word * 64 + static_cast<uint32_t>(__builtin_ctzll(head));
+    int slot = occupied_.FindFrom(start);
+    if (slot < 0) {
+      slot = occupied_.FindFrom(0);
     }
-    // Rotate the summary so the search starts just past start_word, then one
-    // ctz picks the next occupied word in circular order.
-    const uint32_t from = (start_word + 1) & (kBitmapWords - 1);
-    const uint64_t rotated =
-        from == 0 ? summary_
-                  : (summary_ >> from) | (summary_ << (kBitmapWords - from));
-    const uint32_t word =
-        (from + static_cast<uint32_t>(__builtin_ctzll(rotated))) &
-        (kBitmapWords - 1);
-    return word * 64 + static_cast<uint32_t>(__builtin_ctzll(bitmap_[word]));
+    return static_cast<uint32_t>(slot);
   }
 
   size_t capacity_;
   uint32_t bucket_shift_;
   std::vector<std::vector<Request>> buckets_;
-  uint64_t bitmap_[kBitmapWords] = {};
-  uint64_t summary_ = 0;  // bit w set iff bitmap_[w] != 0
+  FfsBitmap<kBuckets> occupied_;
   uint64_t cursor_ = 0;   // absolute tick of the earliest live bucket
   std::atomic<size_t> size_{0};
   std::atomic<uint64_t> drops_{0};

@@ -19,7 +19,6 @@ ClusterEngine::ClusterEngine(WorkloadSpec workload, ClusterConfig config,
     : workload_(std::move(workload)),
       config_(config),
       policy_(std::move(policy)),
-      own_sim_(config.engine_backend),
       sim_(sim != nullptr ? sim : &own_sim_),
       external_arrivals_(sim != nullptr),
       rng_(config.seed),
@@ -332,18 +331,16 @@ TelemetrySnapshot ClusterEngine::telemetry_snapshot() const {
   snap.counters["engine.generated"] += generated_;
   metrics_.ExportTelemetry(&snap);
   snap.gauges["engine.num_workers"] = config_.num_workers;
-  // Event-queue backend introspection (psp_sim_engine_* in /metrics). Only
-  // when the engine owns its simulation: fleet servers share the fleet's
-  // queue, which exports these once as fleet.sim.engine.* instead of N
-  // double-counted copies.
+  // Event-queue introspection (psp_sim_engine_* in /metrics). Only when the
+  // engine owns its simulation: fleet servers share the fleet's queue, which
+  // exports these once as fleet.sim.engine.* instead of N double-counted
+  // copies.
   if (!external_arrivals_) {
     snap.counters["sim.engine.executed"] += sim_->executed_events();
     snap.counters["sim.engine.cascades"] += sim_->wheel_cascades();
     snap.counters["sim.engine.rollovers"] += sim_->wheel_rollovers();
-    snap.counters["sim.engine.backend_switches"] += sim_->backend_switches();
     snap.counters["sim.engine.arena_allocations"] +=
         sim_->arena_allocations();
-    snap.gauges["sim.engine.wheel_active"] = sim_->wheel_active() ? 1 : 0;
     snap.gauges["sim.engine.pending_events"] =
         static_cast<int64_t>(sim_->pending_events());
   }
@@ -428,7 +425,6 @@ void WorkerBank::Init(ClusterEngine* engine, IdleCallback on_idle) {
   engine_ = engine;
   on_idle_ = std::move(on_idle);
   idle_.clear();
-  busy_nanos_.assign(engine->num_workers(), 0);
   for (uint32_t w = 0; w < engine->num_workers(); ++w) {
     idle_.push_back(w);
   }
@@ -438,15 +434,6 @@ uint32_t WorkerBank::PopIdle() {
   const uint32_t w = idle_.back();
   idle_.pop_back();
   return w;
-}
-
-bool WorkerBank::IsIdle(uint32_t worker) const {
-  for (const uint32_t w : idle_) {
-    if (w == worker) {
-      return true;
-    }
-  }
-  return false;
 }
 
 bool WorkerBank::ClaimIdle(uint32_t worker) {
@@ -463,7 +450,6 @@ bool WorkerBank::ClaimIdle(uint32_t worker) {
 void WorkerBank::Run(uint32_t worker, SimRequest* request, Nanos extra_cost) {
   engine_->NoteServiceStart(request, worker);
   const Nanos busy = extra_cost + request->service;
-  busy_nanos_[worker] += static_cast<uint64_t>(busy);
   // Bank-managed policies have no dense type registry: busy time lands in
   // the ledger untyped (DARC-family policies stamp types via the scheduler).
   engine_->time_ledger()->Transition(worker, WorkerTimeState::kBusy,

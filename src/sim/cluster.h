@@ -50,10 +50,6 @@ struct ClusterConfig {
   Nanos dispatch_cost = 100;        // net worker + classifier + decision, per request
   Nanos completion_cost = 40;       // completion-signal handling on dispatcher
   uint64_t seed = 42;
-  // Event-queue backend (auto = density heuristic picks wheel vs heap; see
-  // EngineBackend in src/sim/event_queue.h). Ignored in fleet-server mode,
-  // where the fleet's shared simulation owns the choice.
-  EngineBackend engine_backend = EngineBackend::kAuto;
   Nanos time_series_bucket = 0;     // 0 = no time series
   // Observability: lifecycle-trace sampling + ring sizing, the same knobs as
   // the threaded runtime (RuntimeConfig::telemetry).
@@ -271,11 +267,8 @@ class WorkerBank {
   void Init(ClusterEngine* engine, IdleCallback on_idle);
 
   bool HasIdle() const { return !idle_.empty(); }
-  size_t idle_count() const { return idle_.size(); }
   // Pops an arbitrary idle worker (unspecified which).
   uint32_t PopIdle();
-  // True if `worker` is currently idle (O(n); small n).
-  bool IsIdle(uint32_t worker) const;
   // Removes a specific idle worker; false if busy.
   bool ClaimIdle(uint32_t worker);
 
@@ -283,13 +276,10 @@ class WorkerBank {
   // `extra_cost + request->service`, then completes it and reports idle.
   void Run(uint32_t worker, SimRequest* request, Nanos extra_cost = 0);
 
-  uint64_t busy_nanos(uint32_t worker) const { return busy_nanos_[worker]; }
-
  private:
   ClusterEngine* engine_ = nullptr;
   IdleCallback on_idle_;
   std::vector<uint32_t> idle_;
-  std::vector<uint64_t> busy_nanos_;
 };
 
 }  // namespace psp

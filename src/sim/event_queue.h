@@ -8,45 +8,34 @@
 //     inline POD payload (the handler's captures), the whole slot
 //     static-asserted to fit one cache line. There is no std::function and no
 //     per-event heap allocation; the only allocations ever made are geometric
-//     growths of the slot arena and queue storage, which stop once the run
-//     reaches its peak pending-event count (see arena_allocations()).
+//     growths of the slot arena, which stop once the run reaches its peak
+//     pending-event count (see arena_allocations()).
 //   * Slots are recycled through an intrusive free list threaded through the
 //     arena (the link reuses the payload bytes of free slots).
-//   * The ready queue has TWO backends behind one API, selected by
-//     EngineBackend (default: auto):
-//       - a 4-ary implicit heap of 16-byte (time, seq-packed) entries in
-//         64-byte-aligned storage (one cache line per sibling group, half a
-//         binary heap's depth) — O(log n), best for sparse far-future
-//         schedules;
-//       - a hierarchical timer wheel (Eiffel-style calendar queue): 8 levels
-//         of 256 single-byte-indexed buckets with a find-first-set bitmap
-//         summary per level, covering the full 64-bit time range, with
-//         cascade-on-rollover pouring higher-level buckets into lower ones —
-//         O(1) amortised enqueue/dequeue, best for the dense short-horizon
-//         schedules every paper sweep produces (see docs/PERF.md §1b).
-//     Auto mode observes horizon density (mean schedule span vs pending
-//     population) every kAutoWindow schedules and migrates between backends;
-//     both directions preserve the ordering contract exactly.
+//   * The ready queue is a hierarchical timer wheel (Eiffel-style calendar
+//     queue): 8 levels of 256 single-byte-indexed buckets with a
+//     find-first-set bitmap (src/common/ffs_bitmap.h) per level, covering the
+//     full 64-bit time range, with cascade-on-rollover pouring higher-level
+//     buckets into lower ones — O(1) amortised enqueue/dequeue whatever the
+//     pending population (see docs/PERF.md §1).
 //
 // Ordering contract (unchanged from the seed engine, and what the
 // determinism goldens rely on): events execute in ascending (time, seq)
 // order, where seq is the global schedule-call sequence number — FIFO among
-// simultaneous events. Both backends reproduce this bit-for-bit: the heap
-// compares packed (time, seq) keys; the wheel relies on the invariant that
-// every bucket list holds its same-tick events in seq order (appends happen
-// in global seq order, cascades preserve relative order, and backend
-// migrations drain in (time, seq) order).
+// simultaneous events. The wheel needs no explicit seq: every bucket list
+// holds its same-tick events in schedule order, because appends happen in
+// schedule order and cascades preserve relative order.
 #ifndef PSP_SRC_SIM_EVENT_QUEUE_H_
 #define PSP_SRC_SIM_EVENT_QUEUE_H_
 
 #include <cassert>
 #include <cstdint>
-#include <cstdlib>
 #include <cstring>
 #include <new>
 #include <type_traits>
 #include <vector>
 
+#include "src/common/ffs_bitmap.h"
 #include "src/common/time.h"
 
 namespace psp {
@@ -56,36 +45,6 @@ namespace psp {
 // core does not depend on the concurrency headers).
 inline constexpr size_t kEventCacheLine = 64;
 
-// Ready-queue backend selection. kAuto starts on the wheel (the common dense
-// case) and re-evaluates horizon density as the run unfolds; kHeap/kWheel
-// pin one backend (config override / paired benchmarking).
-enum class EngineBackend : uint8_t { kAuto = 0, kHeap = 1, kWheel = 2 };
-
-inline const char* EngineBackendName(EngineBackend backend) {
-  switch (backend) {
-    case EngineBackend::kHeap:
-      return "heap";
-    case EngineBackend::kWheel:
-      return "wheel";
-    default:
-      return "auto";
-  }
-}
-
-// Parses "auto" / "heap" / "wheel"; returns false on anything else.
-inline bool ParseEngineBackend(const char* name, EngineBackend* out) {
-  if (std::strcmp(name, "auto") == 0) {
-    *out = EngineBackend::kAuto;
-  } else if (std::strcmp(name, "heap") == 0) {
-    *out = EngineBackend::kHeap;
-  } else if (std::strcmp(name, "wheel") == 0) {
-    *out = EngineBackend::kWheel;
-  } else {
-    return false;
-  }
-  return true;
-}
-
 class Simulation {
  public:
   // Inline payload budget for a scheduled handler's captures. Big enough for
@@ -94,32 +53,27 @@ class Simulation {
   static constexpr size_t kEventPayloadSize =
       kEventCacheLine - sizeof(void (*)(void*));
 
-  explicit Simulation(EngineBackend backend = EngineBackend::kAuto)
-      : requested_(backend),
-        use_wheel_(backend != EngineBackend::kHeap) {}
-  ~Simulation() {
-    std::free(heap_);
-    std::free(wheel_);
+  Simulation() {
+    for (WheelLevel& level : wheel_) {
+      // 0xFF bytes make every head/tail kNoSlot in one pass.
+      std::memset(level.buckets, 0xFF, sizeof(level.buckets));
+    }
   }
 
-  // The queue storage is manually managed; nothing in the tree copies engines.
+  // Pending handlers capture pointers into their owners; a copied engine
+  // would run them against the original's state.
   Simulation(const Simulation&) = delete;
   Simulation& operator=(const Simulation&) = delete;
 
   Nanos Now() const { return now_; }
 
-  // Pre-sizes the arena and ready queue for `events` concurrently-pending
-  // events so even the first iterations allocate nothing.
+  // Pre-sizes the arena for `events` concurrently-pending events so even the
+  // first iterations allocate nothing.
   void Reserve(size_t events) {
-    if (events + kHeapPad > heap_cap_) {
-      GrowHeap(events + kHeapPad);
-    }
-    ReserveSlots(events);
-    if (requested_ != EngineBackend::kHeap) {
-      EnsureWheel();
-      if (events > wheel_nodes_.capacity()) {
-        wheel_nodes_.reserve(events);
-      }
+    if (events > slots_.capacity()) {
+      slots_.reserve(events);
+      nodes_.reserve(events);
+      ++arena_allocations_;
     }
   }
 
@@ -150,15 +104,11 @@ class Simulation {
       handler();
     };
     ::new (static_cast<void*>(s.payload)) Fn(fn);
-    const uint64_t lo = (next_seq_++ << kSlotBits) | slot;
-    if (use_wheel_) {
-      WheelInsert(static_cast<uint64_t>(t), lo);
-    } else {
-      HeapPushEntry(static_cast<uint64_t>(t), lo);
-    }
-    if (requested_ == EngineBackend::kAuto) {
-      AutoObserve(t);
-    }
+    const auto time = static_cast<uint64_t>(t);
+    assert(time >= wheel_time_ && "wheel time lower-bounds pending events");
+    nodes_[slot] = WheelNode{time, kNoSlot};
+    Enqueue(time, slot);
+    ++pending_;
   }
 
   template <typename Fn>
@@ -170,67 +120,50 @@ class Simulation {
   // Events scheduled at exactly `until` do run; Now() lands on `until` even
   // when the queue drains early.
   void RunUntil(Nanos until) {
-    Nanos t;
-    // The peek is bounded by `until`: on the wheel backend an unbounded peek
-    // would commit wheel_time_ to the next pending tick even when that tick
-    // is beyond the horizon, and events scheduled afterwards in the gap
-    // [until, tick) would land behind the wheel. Bounding keeps
-    // wheel_time_ <= until = Now() on exit, preserving the wheel's
-    // lower-bound invariant for any follow-up ScheduleAt.
-    while (PeekNextTime(until, &t)) {
-      StepOne();
+    // The peek is bounded by `until`: an unbounded one would commit
+    // wheel_time_ to the next pending tick even when that tick is beyond the
+    // horizon, and events scheduled afterwards in the gap [until, tick)
+    // would land behind the wheel. Bounding keeps wheel_time_ <= until =
+    // Now() on exit, preserving the lower-bound invariant for any follow-up
+    // ScheduleAt.
+    uint64_t t;
+    while (PrepareMin(static_cast<uint64_t>(until), &t)) {
+      RunFront(t);
     }
     if (now_ < until) {
       now_ = until;
     }
   }
 
-  // Runs until the event queue is completely drained.
+  // Runs until the event queue is completely drained. The unbounded peek is
+  // safe here: RunFront immediately brings now_ up to wheel_time_, so no
+  // schedule can land behind the wheel.
   void RunToCompletion() {
-    while (pending_events() > 0) {
-      StepOne();
+    uint64_t t;
+    while (PrepareMin(~uint64_t{0}, &t)) {
+      RunFront(t);
     }
   }
 
   uint64_t executed_events() const { return executed_; }
-  size_t pending_events() const {
-    return use_wheel_ ? wheel_count_ : heap_count_;
-  }
+  size_t pending_events() const { return pending_; }
 
-  // Number of heap allocations the engine has performed (arena + queue
-  // storage growths). Flat across iterations once warmed up — the property
+  // Number of heap allocations the engine has performed (arena growths).
+  // Flat across iterations once warmed up — the property
   // bench/micro_sim_engine gates on.
   uint64_t arena_allocations() const { return arena_allocations_; }
-  size_t arena_capacity() const { return slots_.capacity(); }
 
-  // --- Backend introspection --------------------------------------------------
-  EngineBackend requested_backend() const { return requested_; }
-  bool wheel_active() const { return use_wheel_; }
-  const char* active_backend_name() const {
-    return use_wheel_ ? "wheel" : "heap";
-  }
   // Entries poured one level down during a bucket rollover (per-event moves).
   uint64_t wheel_cascades() const { return cascades_; }
   // Higher-level buckets cascaded (per-bucket rollover operations).
   uint64_t wheel_rollovers() const { return rollovers_; }
-  // Auto-mode backend migrations (0 when a backend is pinned).
-  uint64_t backend_switches() const { return backend_switches_; }
+  // The wheel is the only ready queue. bench/e2e/sim.cc still reads these
+  // two as the sim-figures workload's sim.backend_switches/sim.wheel_active.
+  uint64_t backend_switches() const { return 0; }
+  bool wheel_active() const { return true; }
 
  private:
   using InvokeFn = void (*)(void* payload);
-
-  // --- Heap layout -----------------------------------------------------------
-  // Logical node j lives at physical index j + 3 of a 64-byte-aligned array,
-  // so every 4-sibling group (4 × 16-byte entries) starts on a cache-line
-  // boundary and one sift level touches exactly one line. Physical 0..2 are
-  // padding; the root sits at physical 3.
-  //   children(p) = 4p - 8 .. 4p - 5      parent(c) = (c + 8) >> 2
-  static constexpr size_t kHeapRoot = 3;
-  static constexpr size_t kHeapPad = 3;
-
-  // Heaps up to this many entries (32 KiB of the 48 KiB L1D) take the
-  // unrolled sift-down; larger ones the rolled loop. See HeapPop.
-  static constexpr size_t kUnrolledPopLimit = 2048;
 
   // --- Wheel layout ----------------------------------------------------------
   // 8 levels of 256 buckets, one byte of the event time per level: level l
@@ -244,25 +177,15 @@ class Simulation {
   // differs from wheel_time_ (level 0 for same-tick). Consequences that make
   // the O(1) pop work:
   //   * a level-0 bucket inside the current 256-tick window holds exactly one
-  //     tick's events, in seq order (appends happen in global seq order and
-  //     cascades preserve relative order);
+  //     tick's events, in schedule order (appends happen in global schedule
+  //     order and cascades preserve relative order);
   //   * at any level, bucket indices below wheel_time_'s byte are empty (they
   //     were drained or cascaded when the wheel passed them), so a bitmap
   //     find-first-set from that byte finds the next pending work.
   static constexpr uint32_t kWheelLevelBits = 8;
   static constexpr uint32_t kWheelBuckets = 1u << kWheelLevelBits;  // 256
   static constexpr uint32_t kWheelLevels = 8;  // 8 bytes = full uint64 range
-  static constexpr uint32_t kWheelBitmapWords = kWheelBuckets / 64;
-
-  // Auto-selection heuristic: every kAutoWindow schedules, compare the mean
-  // schedule span (t - Now()) against the pending population. The wheel wins
-  // while events land densely within a short horizon (cascades stay shallow
-  // and buckets stay hot); the heap wins when few events spread over a huge
-  // horizon (log n of a small n beats walking empty levels). The 4x band is
-  // hysteresis so borderline runs don't thrash. Decisions depend only on the
-  // schedule sequence (virtual time), so they are deterministic per seed.
-  static constexpr uint32_t kAutoWindow = 1024;
-  static constexpr uint32_t kDensityShift = 12;  // span/4096 vs pending
+  static constexpr uint32_t kNoSlot = UINT32_MAX;
 
   // A pending event's storage: trampoline + inline captures. Free slots
   // thread the arena free list through their payload bytes.
@@ -282,30 +205,11 @@ class Simulation {
   static_assert(sizeof(EventSlot) == kEventCacheLine,
                 "an event (trampoline + payload) must fit one cache line");
 
-  // Heap entry: a single 16-byte key `(time << 64) | (seq << 24) | slot`.
-  // Comparing keys is one branchless 128-bit compare, and orders by
-  // (time, seq) exactly — seq values are unique, so the slot bits never
-  // break a tie — reproducing the seed engine's stable-FIFO ordering
-  // bit-for-bit. Sim time is non-negative (asserted at the schedule sites),
-  // so the unsigned compare matches signed time order; 2^40 schedules
-  // (≈10^12) and 2^24 concurrently-pending events are far beyond any paper
-  // experiment.
-  struct HeapEntry {
-    uint64_t hi;  // time
-    uint64_t lo;  // (seq << kSlotBits) | slot
-
-    Nanos time() const { return static_cast<Nanos>(hi); }
-    uint32_t slot() const { return static_cast<uint32_t>(lo) & kSlotMask; }
-  };
-  static_assert(sizeof(HeapEntry) == 16);
-
   // Wheel node for a pending event, indexed by its arena slot (each pending
   // event owns exactly one slot, so the parallel array needs no free list of
-  // its own). `lo` keeps the packed (seq, slot) key so a backend switch can
-  // rebuild heap entries without re-sequencing.
+  // its own).
   struct WheelNode {
     uint64_t time;
-    uint64_t lo;
     uint32_t next;  // next slot in the bucket's list; kNoSlot at the tail
   };
 
@@ -316,21 +220,8 @@ class Simulation {
 
   struct WheelLevel {
     WheelBucket buckets[kWheelBuckets];
-    uint64_t bitmap[kWheelBitmapWords];
+    FfsBitmap<kWheelBuckets> occupied;
   };
-
-  static constexpr uint32_t kSlotBits = 24;
-  static constexpr uint32_t kSlotMask = (1u << kSlotBits) - 1;
-
-  static bool Before(const HeapEntry& a, const HeapEntry& b) {
-    // Two-limb compare with short-circuit on time: ties in `hi` are rare
-    // outside simultaneous events, and the `lo` limb then resolves them by
-    // global schedule order (seq is unique; slot bits never decide).
-    if (a.hi != b.hi) {
-      return a.hi < b.hi;
-    }
-    return a.lo < b.lo;
-  }
 
   uint32_t AllocSlot() {
     if (free_head_ != kNoSlot) {
@@ -338,15 +229,15 @@ class Simulation {
       free_head_ = slots_[slot].free_link();
       return slot;
     }
+    // The node array grows in lockstep, so it reallocates exactly when the
+    // arena does.
     const size_t old_cap = slots_.capacity();
     slots_.emplace_back();
+    nodes_.emplace_back();
     if (slots_.capacity() != old_cap) {
       ++arena_allocations_;
-      if (wheel_ != nullptr) {
-        wheel_nodes_.reserve(slots_.capacity());
-      }
     }
-    assert(slots_.size() <= kSlotMask && "pending-event arena exceeds 2^24");
+    assert(slots_.size() < kNoSlot);
     return static_cast<uint32_t>(slots_.size() - 1);
   }
 
@@ -355,175 +246,10 @@ class Simulation {
     free_head_ = slot;
   }
 
-  void ReserveSlots(size_t n) {
-    if (n > slots_.capacity()) {
-      slots_.reserve(n);
-      ++arena_allocations_;
-    }
-  }
-
-  // Grows the aligned heap array to at least `min_physical` entries.
-  void GrowHeap(size_t min_physical) {
-    size_t cap = heap_cap_ == 0 ? 64 : heap_cap_ * 2;
-    if (cap < min_physical) {
-      cap = min_physical;
-    }
-    cap = (cap + 3) & ~size_t{3};  // byte size stays a multiple of 64
-    auto* fresh = static_cast<HeapEntry*>(
-        std::aligned_alloc(kEventCacheLine, cap * sizeof(HeapEntry)));
-    if (fresh == nullptr) {
-      throw std::bad_alloc();
-    }
-    if (heap_ != nullptr) {
-      std::memcpy(fresh, heap_,
-                  (heap_count_ + kHeapPad) * sizeof(HeapEntry));
-      std::free(heap_);
-    }
-    heap_ = fresh;
-    heap_cap_ = cap;
-    ++arena_allocations_;
-  }
-
-  void HeapPushEntry(uint64_t hi, uint64_t lo) {
-    const HeapEntry entry{hi, lo};
-    if (heap_count_ + kHeapPad + 1 > heap_cap_) {
-      GrowHeap(heap_count_ + kHeapPad + 1);
-    }
-    // Sift up, holding the new entry in registers and shifting parents down
-    // (half the moves of a swap-based sift).
-    HeapEntry* const h = heap_;
-    size_t i = heap_count_ + kHeapPad;
-    ++heap_count_;
-    while (i > kHeapRoot) {
-      const size_t parent = (i + 8) >> 2;
-      if (!Before(entry, h[parent])) {
-        break;
-      }
-      h[i] = h[parent];
-      i = parent;
-    }
-    h[i] = entry;
-  }
-
-  void HeapPop() {
-    const size_t last_idx = heap_count_ + kHeapPad - 1;  // physical tail
-    --heap_count_;
-    if (heap_count_ == 0) {
-      return;
-    }
-    // Floyd's bottom-up deletion: walk the hole from the root to a leaf along
-    // the min-child path (one comparison round per level, no test against the
-    // displaced tail element), then bubble the tail up from the leaf. The
-    // tail is usually heap-large, so the bubble-up almost always stops
-    // immediately — cheaper than the classic test-children-then-stop sift.
-    HeapEntry* const h = heap_;
-    // The displaced tail is read only after the descent; start its line fetch
-    // now so it overlaps the level-by-level walk.
-    __builtin_prefetch(&h[last_idx]);
-    size_t hole = kHeapRoot;
-    // Size-adaptive descent (both measured, neither dominates): the unrolled
-    // scan is ~15% faster while the heap is L1-resident, but once it spills
-    // to L2 the rolled loop's codegen overlaps the next level's line fetch
-    // with this level's compares and wins by ~2x. The branch on size is
-    // fixed for a whole run, so it predicts perfectly. Either way the
-    // sibling-min select is a ternary -> cmov: which sibling wins is
-    // data-dependent and ~50/50, a branch there would mispredict constantly.
-    if (last_idx <= kUnrolledPopLimit) {
-      for (;;) {
-        const size_t first_child = (hole << 2) - 8;
-        if (first_child + 4 <= last_idx) {
-          size_t best = first_child;
-          best = Before(h[first_child + 1], h[best]) ? first_child + 1 : best;
-          best = Before(h[first_child + 2], h[best]) ? first_child + 2 : best;
-          best = Before(h[first_child + 3], h[best]) ? first_child + 3 : best;
-          h[hole] = h[best];
-          hole = best;
-          continue;
-        }
-        if (first_child >= last_idx) {
-          break;
-        }
-        // Partial group at the array frontier: this is the final level.
-        size_t best = first_child;
-        for (size_t c = first_child + 1; c < last_idx; ++c) {
-          best = Before(h[c], h[best]) ? c : best;
-        }
-        h[hole] = h[best];
-        hole = best;
-      }
-    } else {
-      for (;;) {
-        const size_t first_child = (hole << 2) - 8;
-        if (first_child >= last_idx) {
-          break;
-        }
-        size_t best = first_child;
-        const size_t end =
-            first_child + 4 < last_idx ? first_child + 4 : last_idx;
-        for (size_t c = first_child + 1; c < end; ++c) {
-          best = Before(h[c], h[best]) ? c : best;
-        }
-        h[hole] = h[best];
-        hole = best;
-      }
-    }
-    const HeapEntry last = h[last_idx];
-    size_t i = hole;
-    while (i > kHeapRoot) {
-      const size_t parent = (i + 8) >> 2;
-      if (!Before(last, h[parent])) {
-        break;
-      }
-      h[i] = h[parent];
-      i = parent;
-    }
-    h[i] = last;
-  }
-
-  // --- Wheel operations -------------------------------------------------------
-
-  void EnsureWheel() {
-    if (wheel_ != nullptr) {
-      return;
-    }
-    wheel_ = static_cast<WheelLevel*>(
-        std::malloc(sizeof(WheelLevel) * kWheelLevels));
-    if (wheel_ == nullptr) {
-      throw std::bad_alloc();
-    }
-    ++arena_allocations_;
-    for (uint32_t level = 0; level < kWheelLevels; ++level) {
-      // 0xFF bytes make every head/tail kNoSlot in one pass.
-      std::memset(wheel_[level].buckets, 0xFF, sizeof(wheel_[level].buckets));
-      std::memset(wheel_[level].bitmap, 0, sizeof(wheel_[level].bitmap));
-    }
-    if (!wheel_nodes_.empty() || slots_.capacity() > 0) {
-      wheel_nodes_.reserve(slots_.capacity());
-    }
-  }
-
-  // First set bucket index >= `from`, or -1. Bits below the wheel's current
-  // byte are structurally clear (see the layout comment), so this is the
-  // "next pending bucket" scan.
-  static int BitmapFindFrom(const uint64_t* words, uint32_t from) {
-    uint32_t w = from >> 6;
-    uint64_t cur = words[w] & (~uint64_t{0} << (from & 63));
-    for (;;) {
-      if (cur != 0) {
-        return static_cast<int>(w * 64 +
-                                static_cast<uint32_t>(__builtin_ctzll(cur)));
-      }
-      if (++w >= kWheelBitmapWords) {
-        return -1;
-      }
-      cur = words[w];
-    }
-  }
-
   // Appends `slot` (whose node carries `time`) to the bucket for the highest
   // byte in which `time` differs from wheel_time_. Appending at the tail is
-  // what preserves per-tick seq order.
-  void WheelEnqueue(uint64_t time, uint32_t slot) {
+  // what preserves per-tick schedule order.
+  void Enqueue(uint64_t time, uint32_t slot) {
     const uint64_t diff = time ^ wheel_time_;
     const uint32_t level =
         diff == 0
@@ -538,28 +264,11 @@ class Simulation {
     if (bucket.head == kNoSlot) {
       bucket.head = slot;
       bucket.tail = slot;
-      L.bitmap[index >> 6] |= uint64_t{1} << (index & 63);
+      L.occupied.Set(index);
     } else {
-      wheel_nodes_[bucket.tail].next = slot;
+      nodes_[bucket.tail].next = slot;
       bucket.tail = slot;
     }
-  }
-
-  void WheelInsert(uint64_t time, uint64_t lo) {
-    if (wheel_ == nullptr) {
-      EnsureWheel();
-    }
-    assert(time >= wheel_time_ && "wheel time lower-bounds pending events");
-    const uint32_t slot = static_cast<uint32_t>(lo) & kSlotMask;
-    if (slot >= wheel_nodes_.size()) {
-      wheel_nodes_.resize(slots_.size());
-    }
-    WheelNode& node = wheel_nodes_[slot];
-    node.time = time;
-    node.lo = lo;
-    node.next = kNoSlot;
-    WheelEnqueue(time, slot);
-    ++wheel_count_;
   }
 
   // Advances the wheel so the earliest pending event sits at the head of its
@@ -568,16 +277,15 @@ class Simulation {
   // NEVER advances past `bound`: a bounded peek (RunUntil's horizon check)
   // must not move the wheel beyond times the caller may still schedule into,
   // or a later ScheduleAt in the gap would land behind the wheel and become
-  // undiscoverable. Idempotent and cheap to repeat (the level-0 bitmap hit
-  // short-circuits), so peek + pop is fine.
-  bool WheelPrepareMin(uint64_t bound, uint64_t* time_out) {
-    if (wheel_count_ == 0) {
+  // undiscoverable.
+  bool PrepareMin(uint64_t bound, uint64_t* time_out) {
+    if (pending_ == 0) {
       return false;
     }
     for (;;) {
       const uint32_t idx0 =
           static_cast<uint32_t>(wheel_time_) & (kWheelBuckets - 1);
-      const int hit = BitmapFindFrom(wheel_[0].bitmap, idx0);
+      const int hit = wheel_[0].occupied.FindFrom(idx0);
       if (hit >= 0) {
         const uint64_t tick = (wheel_time_ & ~uint64_t{kWheelBuckets - 1}) |
                               static_cast<uint32_t>(hit);
@@ -597,12 +305,12 @@ class Simulation {
         const uint32_t from = static_cast<uint32_t>(
                                   wheel_time_ >> (level * kWheelLevelBits)) &
                               (kWheelBuckets - 1);
-        bucket = BitmapFindFrom(wheel_[level].bitmap, from);
+        bucket = wheel_[level].occupied.FindFrom(from);
         if (bucket >= 0) {
           break;
         }
       }
-      assert(bucket >= 0 && "wheel_count_ > 0 but every bitmap is empty");
+      assert(bucket >= 0 && "pending_ > 0 but every bitmap is empty");
       const uint32_t shift = level * kWheelLevelBits;
       // Jump to the start of the bucket's span: keep the bytes above the
       // level, set the level's byte, zero everything below. When the bucket
@@ -624,146 +332,32 @@ class Simulation {
       uint32_t cur = b.head;
       b.head = kNoSlot;
       b.tail = kNoSlot;
-      L.bitmap[bucket >> 6] &= ~(uint64_t{1} << (bucket & 63));
+      L.occupied.Clear(static_cast<uint32_t>(bucket));
       ++rollovers_;
       while (cur != kNoSlot) {
-        const uint32_t next = wheel_nodes_[cur].next;
-        wheel_nodes_[cur].next = kNoSlot;
-        WheelEnqueue(wheel_nodes_[cur].time, cur);
+        const uint32_t next = nodes_[cur].next;
+        nodes_[cur].next = kNoSlot;
+        Enqueue(nodes_[cur].time, cur);
         ++cascades_;
         cur = next;
       }
     }
   }
 
-  // Unlinks and returns the head of the current tick's bucket. Only valid
-  // directly after WheelPrepareMin returned true.
-  uint32_t WheelPopFront() {
-    const uint32_t index =
-        static_cast<uint32_t>(wheel_time_) & (kWheelBuckets - 1);
+  // Unlinks the head of the current tick's bucket and runs it. Only valid
+  // directly after PrepareMin returned true and wrote `t`.
+  void RunFront(uint64_t t) {
+    const uint32_t index = static_cast<uint32_t>(t) & (kWheelBuckets - 1);
     WheelBucket& bucket = wheel_[0].buckets[index];
     const uint32_t slot = bucket.head;
-    assert(slot != kNoSlot);
-    bucket.head = wheel_nodes_[slot].next;
+    assert(slot != kNoSlot && nodes_[slot].time == t);
+    bucket.head = nodes_[slot].next;
     if (bucket.head == kNoSlot) {
       bucket.tail = kNoSlot;
-      wheel_[0].bitmap[index >> 6] &= ~(uint64_t{1} << (index & 63));
+      wheel_[0].occupied.Clear(index);
     }
-    --wheel_count_;
-    return slot;
-  }
-
-  // --- Backend selection and migration ---------------------------------------
-
-  void AutoObserve(Nanos t) {
-    window_span_sum_ += static_cast<uint64_t>(t - now_);
-    if (++window_scheduled_ < kAutoWindow) {
-      return;
-    }
-    // sum >> 12 compared against pending * 1024 is mean_span/4096 vs pending.
-    const uint64_t span_scaled = window_span_sum_ >> kDensityShift;
-    const uint64_t pivot =
-        (static_cast<uint64_t>(pending_events()) + 1) * kAutoWindow;
-    if (use_wheel_) {
-      if (span_scaled > pivot * 4) {
-        SwitchToHeap();
-      }
-    } else {
-      if (span_scaled * 4 < pivot) {
-        SwitchToWheel();
-      }
-    }
-    window_span_sum_ = 0;
-    window_scheduled_ = 0;
-  }
-
-  void SwitchToWheel() {
-    EnsureWheel();
-    // wheel_time_ must lower-bound every pending time; events are never
-    // scheduled in the past, so Now() qualifies (and never lower it).
-    if (static_cast<uint64_t>(now_) > wheel_time_) {
-      wheel_time_ = static_cast<uint64_t>(now_);
-    }
-    // Drain the heap in (time, seq) order so every bucket receives its
-    // same-tick events in FIFO order — the invariant the wheel's O(1) pop
-    // relies on for the bit-for-bit ordering contract.
-    use_wheel_ = true;
-    while (heap_count_ > 0) {
-      const HeapEntry top = heap_[kHeapRoot];
-      HeapPop();
-      WheelInsert(top.hi, top.lo);
-    }
-    ++backend_switches_;
-  }
-
-  void SwitchToHeap() {
-    // Bucket walk order is irrelevant: the heap orders by the full
-    // (time, seq) key, which every wheel node carries.
-    for (uint32_t level = 0; level < kWheelLevels; ++level) {
-      WheelLevel& L = wheel_[level];
-      for (uint32_t w = 0; w < kWheelBitmapWords; ++w) {
-        uint64_t bits = L.bitmap[w];
-        L.bitmap[w] = 0;
-        while (bits != 0) {
-          const uint32_t index =
-              w * 64 + static_cast<uint32_t>(__builtin_ctzll(bits));
-          bits &= bits - 1;
-          uint32_t cur = L.buckets[index].head;
-          L.buckets[index].head = kNoSlot;
-          L.buckets[index].tail = kNoSlot;
-          while (cur != kNoSlot) {
-            const uint32_t next = wheel_nodes_[cur].next;
-            HeapPushEntry(wheel_nodes_[cur].time, wheel_nodes_[cur].lo);
-            cur = next;
-          }
-        }
-      }
-    }
-    wheel_count_ = 0;
-    use_wheel_ = false;
-    ++backend_switches_;
-  }
-
-  // --- Dispatch ---------------------------------------------------------------
-
-  // True iff an event is pending at a time <= `bound`; writes that time.
-  // On the wheel backend this may advance wheel_time_ (never past `bound`).
-  bool PeekNextTime(Nanos bound, Nanos* t) {
-    if (use_wheel_) {
-      uint64_t wheel_t;
-      if (!WheelPrepareMin(static_cast<uint64_t>(bound), &wheel_t)) {
-        return false;
-      }
-      *t = static_cast<Nanos>(wheel_t);
-      return true;
-    }
-    if (heap_count_ == 0 || heap_[kHeapRoot].time() > bound) {
-      return false;
-    }
-    *t = heap_[kHeapRoot].time();
-    return true;
-  }
-
-  void StepOne() {
-    uint32_t slot;
-    if (use_wheel_) {
-      uint64_t t;
-      // Unbounded prepare is safe here: the pop below immediately brings
-      // now_ up to wheel_time_, so no schedule can land behind the wheel.
-      const bool ok = WheelPrepareMin(~uint64_t{0}, &t);
-      assert(ok && "StepOne on an empty wheel");
-      (void)ok;
-      slot = WheelPopFront();
-      assert(wheel_nodes_[slot].time == t);
-      now_ = static_cast<Nanos>(t);
-    } else {
-      const HeapEntry top = heap_[kHeapRoot];
-      slot = top.slot();
-      // Pull the slot's line into cache while the sift-down below runs.
-      __builtin_prefetch(&slots_[slot]);
-      HeapPop();
-      now_ = top.time();
-    }
+    --pending_;
+    now_ = static_cast<Nanos>(t);
     EventSlot& s = slots_[slot];
     // The trampoline copies the captures out of the arena on entry (see
     // ScheduleAt), so scheduling from inside the handler is safe even when
@@ -774,36 +368,18 @@ class Simulation {
     ++executed_;
   }
 
-  static constexpr uint32_t kNoSlot = UINT32_MAX;
-
-  // 4-ary implicit min-heap over (time, seq); 64-byte-aligned storage so
-  // sibling groups share cache lines (see layout comment above). Manually
-  // managed: std::vector cannot guarantee over-aligned allocation.
-  HeapEntry* heap_ = nullptr;
-  size_t heap_count_ = 0;  // live entries (logical heap size)
-  size_t heap_cap_ = 0;    // physical capacity, including the 3-entry pad
   std::vector<EventSlot> slots_;  // slot arena; free list through payloads
+  std::vector<WheelNode> nodes_;  // parallel to slots_, indexed by slot
   uint32_t free_head_ = kNoSlot;
   Nanos now_ = 0;
-  uint64_t next_seq_ = 0;
   uint64_t executed_ = 0;
   uint64_t arena_allocations_ = 0;
 
-  // Hierarchical timer wheel (lazily allocated on first use; 16 KiB + the
-  // per-slot node array). wheel_time_ is the tick the wheel advanced to.
-  WheelLevel* wheel_ = nullptr;
-  std::vector<WheelNode> wheel_nodes_;  // indexed by arena slot
-  uint64_t wheel_time_ = 0;
-  size_t wheel_count_ = 0;
-
-  // Backend state + instrumentation.
-  EngineBackend requested_ = EngineBackend::kAuto;
-  bool use_wheel_ = true;
+  WheelLevel wheel_[kWheelLevels];
+  uint64_t wheel_time_ = 0;  // tick the wheel has advanced to
+  size_t pending_ = 0;
   uint64_t cascades_ = 0;
   uint64_t rollovers_ = 0;
-  uint64_t backend_switches_ = 0;
-  uint64_t window_span_sum_ = 0;
-  uint32_t window_scheduled_ = 0;
 };
 
 }  // namespace psp

@@ -122,11 +122,6 @@ uint64_t Metrics::TypeDeadlineMisses(TypeId wire_id) const {
   return slot == nullptr ? 0 : slot->deadline_missed;
 }
 
-uint64_t Metrics::TypeDeadlineSheds(TypeId wire_id) const {
-  const PerType* slot = FindSlot(wire_id);
-  return slot == nullptr ? 0 : slot->deadline_shed;
-}
-
 const std::string& Metrics::TypeName(TypeId wire_id) const {
   const PerType* slot = FindSlot(wire_id);
   return slot == nullptr ? kUnnamed : slot->name;

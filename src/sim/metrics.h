@@ -61,7 +61,6 @@ class Metrics {
   uint64_t TotalDeadlineMisses() const { return deadline_missed_; }
   uint64_t TotalDeadlineSheds() const { return deadline_shed_; }
   uint64_t TypeDeadlineMisses(TypeId wire_id) const;
-  uint64_t TypeDeadlineSheds(TypeId wire_id) const;
   // Fraction of deadlined requests that failed their budget — sheds count as
   // misses (the request never completed in time by construction).
   double DeadlineMissRate() const {

@@ -73,7 +73,6 @@ class ElasticDarcPolicy final : public SchedulingPolicy {
   const std::vector<std::pair<Nanos, uint32_t>>& allocation_log() const {
     return allocation_log_;
   }
-  DarcScheduler& scheduler() { return *scheduler_; }
 
  private:
   void Pump() {

@@ -142,17 +142,15 @@ TEST(Prometheus, IngressCountersGoldenFormat) {
   EXPECT_FALSE(Contains(text, "ingress_shard_0_rx_datagrams"));
 }
 
-// The event-queue backend surface (ClusterEngine::telemetry_snapshot in
-// owned-simulation mode): backend counters as psp_sim_engine_*_total, the
-// active-backend flag and pending depth as gauges.
-TEST(Prometheus, SimEngineBackendGoldenFormat) {
+// The event-queue surface (ClusterEngine::telemetry_snapshot in
+// owned-simulation mode): engine counters as psp_sim_engine_*_total, the
+// pending depth as a gauge.
+TEST(Prometheus, SimEngineGoldenFormat) {
   TelemetrySnapshot snap;
   snap.counters["sim.engine.executed"] = 123456;
   snap.counters["sim.engine.cascades"] = 789;
   snap.counters["sim.engine.rollovers"] = 42;
-  snap.counters["sim.engine.backend_switches"] = 1;
   snap.counters["sim.engine.arena_allocations"] = 9;
-  snap.gauges["sim.engine.wheel_active"] = 1;
   snap.gauges["sim.engine.pending_events"] = 77;
 
   const std::string text = RenderPrometheusText(snap);
@@ -162,10 +160,7 @@ TEST(Prometheus, SimEngineBackendGoldenFormat) {
   EXPECT_TRUE(Contains(text, "# TYPE psp_sim_engine_cascades_total counter\n"));
   EXPECT_TRUE(Contains(text, "\npsp_sim_engine_cascades_total 789\n"));
   EXPECT_TRUE(Contains(text, "\npsp_sim_engine_rollovers_total 42\n"));
-  EXPECT_TRUE(Contains(text, "\npsp_sim_engine_backend_switches_total 1\n"));
   EXPECT_TRUE(Contains(text, "\npsp_sim_engine_arena_allocations_total 9\n"));
-  EXPECT_TRUE(Contains(text, "# TYPE psp_sim_engine_wheel_active gauge\n"));
-  EXPECT_TRUE(Contains(text, "\npsp_sim_engine_wheel_active 1\n"));
   EXPECT_TRUE(Contains(text, "# TYPE psp_sim_engine_pending_events gauge\n"));
   EXPECT_TRUE(Contains(text, "\npsp_sim_engine_pending_events 77\n"));
 }

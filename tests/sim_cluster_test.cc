@@ -63,22 +63,17 @@ TEST(ClusterEngine, ConservesRequests) {
 
 TEST(ClusterEngine, SnapshotExportsEventQueueBackend) {
   const WorkloadSpec w = HighBimodal();
-  ClusterConfig c = FastConfig(0.5, w);
-  c.engine_backend = EngineBackend::kWheel;
-  ClusterEngine engine(w, c, std::make_unique<CentralFcfsPolicy>());
+  ClusterEngine engine(w, FastConfig(0.5, w),
+                       std::make_unique<CentralFcfsPolicy>());
   engine.Run();
   const TelemetrySnapshot snap = engine.telemetry_snapshot();
-  // Owned-simulation mode surfaces the backend counters (fleet servers leave
+  // Owned-simulation mode surfaces the engine counters (fleet servers leave
   // them to the fleet snapshot instead).
   ASSERT_TRUE(snap.counters.count("sim.engine.executed"));
   EXPECT_EQ(snap.counters.at("sim.engine.executed"),
             engine.sim().executed_events());
-  ASSERT_TRUE(snap.gauges.count("sim.engine.wheel_active"));
-  EXPECT_EQ(snap.gauges.at("sim.engine.wheel_active"), 1);
   ASSERT_TRUE(snap.counters.count("sim.engine.cascades"));
   ASSERT_TRUE(snap.counters.count("sim.engine.rollovers"));
-  ASSERT_TRUE(snap.counters.count("sim.engine.backend_switches"));
-  EXPECT_EQ(snap.counters.at("sim.engine.backend_switches"), 0u);
 }
 
 TEST(ClusterEngine, LowLoadLatencyIsServiceTimePlusNetwork) {

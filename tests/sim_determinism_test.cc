@@ -12,8 +12,7 @@
 namespace psp {
 namespace {
 
-ClusterConfig Config(uint64_t seed,
-                     EngineBackend backend = EngineBackend::kAuto) {
+ClusterConfig Config(uint64_t seed) {
   ClusterConfig c;
   c.num_workers = 8;
   c.rate_rps = 0.75 * HighBimodal().PeakLoadRps(8);
@@ -22,7 +21,6 @@ ClusterConfig Config(uint64_t seed,
   c.dispatch_cost = 100;
   c.completion_cost = 40;
   c.seed = seed;
-  c.engine_backend = backend;
   return c;
 }
 
@@ -64,7 +62,7 @@ TEST(Determinism, PerTypeTailSlowdownsBitIdenticalAcrossRuns) {
   // the same total order as the seed implementation — so two seeded runs must
   // agree on every derived metric down to the last bit, per type. Doubles are
   // compared for exact equality on purpose: any change to event ordering,
-  // arena reuse or heap arity that perturbs execution order shows up here.
+  // arena reuse or wheel cascading that perturbs execution order shows up here.
   PersephoneOptions options;
   options.scheduler.mode = PolicyMode::kDarc;
   for (const uint64_t seed : {7u, 123u, 99991u}) {
@@ -89,43 +87,55 @@ TEST(Determinism, PerTypeTailSlowdownsBitIdenticalAcrossRuns) {
   }
 }
 
-TEST(Determinism, TailMetricsBitIdenticalAcrossEventQueueBackends) {
-  // The timer wheel and the 4-ary heap implement the same (time, schedule
-  // seq) total order, so a full experiment pinned to each backend — and one
-  // left on auto selection — must agree on every derived metric bit for bit.
-  // This is the per-type p99.9 replay golden run against both backends.
+// Pinned replay golden: literal values recorded from the two-backend engine
+// (4-ary heap + timer wheel) that preceded the wheel-only one. Same-seed
+// reruns cannot see an event-ordering change; these literals can — any
+// drift in the (time, schedule seq) order moves the event count or a tail.
+struct PinnedRun {
+  uint64_t seed;
+  uint64_t executed_events;
+  uint64_t count[2];  // types 1 (SHORT) and 2 (LONG)
+  Nanos p999[2];
+};
+
+void ExpectPinned(const PinnedRun& want, ClusterEngine& engine) {
+  EXPECT_EQ(engine.sim().executed_events(), want.executed_events)
+      << "seed " << want.seed;
+  for (const TypeId type : {TypeId{1}, TypeId{2}}) {
+    EXPECT_EQ(engine.metrics().TypeCount(type), want.count[type - 1])
+        << "seed " << want.seed << " type " << type;
+    EXPECT_EQ(engine.metrics().TypeLatency(type, 99.9), want.p999[type - 1])
+        << "seed " << want.seed << " type " << type;
+  }
+}
+
+TEST(Determinism, DarcTailMetricsMatchPinnedGolden) {
   PersephoneOptions options;
   options.scheduler.mode = PolicyMode::kDarc;
-  for (const uint64_t seed : {7u, 123u}) {
-    ClusterEngine heap(HighBimodal(), Config(seed, EngineBackend::kHeap),
-                       std::make_unique<PersephonePolicy>(options));
-    heap.Run();
-    ClusterEngine wheel(HighBimodal(), Config(seed, EngineBackend::kWheel),
-                        std::make_unique<PersephonePolicy>(options));
-    wheel.Run();
-    ClusterEngine autosel(HighBimodal(), Config(seed, EngineBackend::kAuto),
-                          std::make_unique<PersephonePolicy>(options));
-    autosel.Run();
-    EXPECT_FALSE(heap.sim().wheel_active());
-    EXPECT_TRUE(wheel.sim().wheel_active());
-    ASSERT_EQ(heap.sim().executed_events(), wheel.sim().executed_events())
-        << "seed " << seed;
-    ASSERT_EQ(heap.sim().executed_events(), autosel.sim().executed_events())
-        << "seed " << seed;
-    for (const TypeId type : {TypeId{1}, TypeId{2}}) {
-      ASSERT_EQ(heap.metrics().TypeCount(type), wheel.metrics().TypeCount(type))
-          << "seed " << seed << " type " << type;
-      ASSERT_EQ(heap.metrics().TypeLatency(type, 99.9),
-                wheel.metrics().TypeLatency(type, 99.9))
-          << "seed " << seed << " type " << type;
-      ASSERT_EQ(heap.metrics().TypeLatency(type, 99.9),
-                autosel.metrics().TypeLatency(type, 99.9))
-          << "seed " << seed << " type " << type;
-      ASSERT_EQ(heap.metrics().TypeSlowdown(type, 99.9),
-                wheel.metrics().TypeSlowdown(type, 99.9))
-          << "seed " << seed << " type " << type;
-    }
+  const PinnedRun golden[] = {
+      {7, 42372, {6349, 6325}, {12087, 311807}},
+      {123, 42465, {6319, 6464}, {12159, 337663}},
+  };
+  for (const PinnedRun& want : golden) {
+    ClusterEngine engine(HighBimodal(), Config(want.seed),
+                         std::make_unique<PersephonePolicy>(options));
+    engine.Run();
+    ExpectPinned(want, engine);
   }
+}
+
+TEST(Determinism, EdfTailMetricsMatchPinnedGolden) {
+  PersephoneOptions options;
+  options.scheduler.mode = PolicyMode::kEdf;
+  options.scheduler.deadline.targets.push_back({"SHORT", 0, 20.0});
+  options.scheduler.deadline.targets.push_back({"LONG", 0, 1.5});
+  options.scheduler.deadline.shed = true;
+  ClusterEngine engine(HighBimodal(), Config(7),
+                       std::make_unique<PersephonePolicy>(options));
+  engine.Run();
+  ExpectPinned({7, 42278, {6349, 6237}, {61759, 180223}}, engine);
+  EXPECT_EQ(engine.metrics().TotalDeadlineMisses(), 380u);
+  EXPECT_EQ(engine.metrics().TotalDeadlineSheds(), 88u);
 }
 
 TEST(Determinism, EdfDeadlineRunsBitIdenticalAcrossRuns) {

@@ -1,5 +1,5 @@
 // DES core tests: ordering, FIFO tie-breaking, nested scheduling, and the
-// allocation-free engine's arena/heap behavior under adversarial schedules.
+// allocation-free engine's arena/wheel behavior under adversarial schedules.
 #include "src/sim/event_queue.h"
 
 #include <gtest/gtest.h>

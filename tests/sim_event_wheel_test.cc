@@ -1,10 +1,9 @@
-// Adversarial tests for the hierarchical timer-wheel backend and the
-// wheel/heap selection layer (src/sim/event_queue.h): far-future horizons
-// that land in the top levels, multi-level cascade correctness, the same-tick
-// FIFO golden run against both backends, a large randomized differential
-// (heap and wheel must produce identical pop sequences), auto-selection
-// migration in both directions, and the bounded-peek regression (scheduling
-// into the gap RunUntil stopped in must not land behind the wheel).
+// Adversarial tests for the hierarchical timer wheel (src/sim/event_queue.h):
+// far-future horizons that land in the top levels, multi-level cascade
+// correctness, the same-tick FIFO golden, a large randomized differential
+// against an in-test sorting oracle, and the bounded-peek regression
+// (scheduling into the gap RunUntil stopped in must not land behind the
+// wheel).
 #include "src/sim/event_queue.h"
 
 #include <gtest/gtest.h>
@@ -32,7 +31,7 @@ TEST(WheelBackend, FarFutureHorizonsExecuteInOrder) {
       256,                   0,    (Nanos{1} << 30), 257,  65536,
       (Nanos{1} << 20) + 17, 4096, (Nanos{1} << 45), 2,
   };
-  Simulation sim(EngineBackend::kWheel);
+  Simulation sim;
   std::vector<uint64_t> order;
   for (size_t i = 0; i < times.size(); ++i) {
     sim.ScheduleAt(times[i], Rec{&order, i});
@@ -55,7 +54,7 @@ TEST(WheelBackend, MultiLevelCascadePreservesTotalOrder) {
   // inserted at level 2-3 and must pour down through the intermediate levels
   // before it can run.
   constexpr uint64_t kEvents = 5000;
-  Simulation sim(EngineBackend::kWheel);
+  Simulation sim;
   std::vector<uint64_t> order;
   std::vector<Nanos> times(kEvents);
   for (uint64_t i = 0; i < kEvents; ++i) {
@@ -71,11 +70,11 @@ TEST(WheelBackend, MultiLevelCascadePreservesTotalOrder) {
   EXPECT_GT(sim.wheel_cascades(), kEvents / 2);  // deep inserts all cascade
 }
 
-// The FIFO golden: three ticks' handlers scheduled interleaved; both
-// backends must drain each tick in schedule order — the exact sequence the
-// determinism goldens (p99.9 replays, fleet byte-equality) depend on.
-void RunFifoGolden(EngineBackend backend) {
-  Simulation sim(backend);
+// The FIFO golden: three ticks' handlers scheduled interleaved must drain
+// each tick in schedule order — the exact sequence the determinism goldens
+// (p99.9 replays, fleet byte-equality) depend on.
+TEST(WheelBackend, SameTickFifoGolden) {
+  Simulation sim;
   std::vector<uint64_t> order;
   constexpr uint64_t kPerTick = 100;
   const Nanos ticks[3] = {40, 10, 20};
@@ -92,35 +91,30 @@ void RunFifoGolden(EngineBackend backend) {
   for (uint64_t t = 0; t < 3; ++t) {
     for (uint64_t i = 0; i < kPerTick; ++i) {
       ASSERT_EQ(order[t * kPerTick + i], tick_base[t] + i)
-          << "backend " << EngineBackendName(backend) << " tick group " << t
-          << " position " << i;
+          << "tick group " << t << " position " << i;
     }
   }
 }
 
-TEST(WheelBackend, SameTickFifoGoldenOnHeap) {
-  RunFifoGolden(EngineBackend::kHeap);
-}
-TEST(WheelBackend, SameTickFifoGoldenOnWheel) {
-  RunFifoGolden(EngineBackend::kWheel);
-}
-
 // Randomized differential: 1e6 mixed schedules — heavy same-tick ties,
 // short-horizon churn, mid-range spreads, and deep-cascade far futures,
-// interleaved with partial RunUntil drains — must produce the identical
-// execution sequence on both backends.
-std::vector<uint64_t> RunMixedWorkload(EngineBackend backend) {
+// interleaved with partial RunUntil drains — must execute in the order a
+// stable sort by (time, schedule index) predicts. The oracle is exact
+// because nothing is ever scheduled before Now(): an event runs once every
+// earlier (time, index) pair has, whichever drain it lands in.
+TEST(WheelBackend, RandomizedDifferentialMatchesSortOracle) {
   constexpr uint64_t kBatches = 100;
   constexpr uint64_t kPerBatch = 10000;  // 1e6 events total
-  Simulation sim(backend);
+  Simulation sim;
   std::vector<uint64_t> order;
+  std::vector<Nanos> times;
   order.reserve(kBatches * kPerBatch);
+  times.reserve(kBatches * kPerBatch);
   uint64_t lcg = 0x853c49e6748fea9bull;
   const auto next = [&lcg] {
     lcg = lcg * 6364136223846793005ull + 1442695040888963407ull;
     return lcg;
   };
-  uint64_t id = 0;
   for (uint64_t b = 0; b < kBatches; ++b) {
     const Nanos base = sim.Now();
     for (uint64_t i = 0; i < kPerBatch; ++i) {
@@ -136,27 +130,28 @@ std::vector<uint64_t> RunMixedWorkload(EngineBackend backend) {
       } else {
         t += static_cast<Nanos>((r >> 8) % (uint64_t{1} << 34));  // deep
       }
-      sim.ScheduleAt(t, Rec{&order, id++});
+      sim.ScheduleAt(t, Rec{&order, times.size()});
+      times.push_back(t);
     }
     // Partial drain: far events stay pending across batches, so later
     // batches schedule *around* older high-level entries.
     sim.RunUntil(base + static_cast<Nanos>(next() % (uint64_t{1} << 22)));
   }
   sim.RunToCompletion();
-  return order;
-}
 
-TEST(WheelBackend, RandomizedDifferentialMatchesHeap) {
-  const std::vector<uint64_t> heap_order =
-      RunMixedWorkload(EngineBackend::kHeap);
-  const std::vector<uint64_t> wheel_order =
-      RunMixedWorkload(EngineBackend::kWheel);
-  ASSERT_EQ(heap_order.size(), wheel_order.size());
-  ASSERT_EQ(heap_order.size(), 1000000u);
+  std::vector<uint64_t> oracle(times.size());
+  for (uint64_t id = 0; id < oracle.size(); ++id) {
+    oracle[id] = id;
+  }
+  std::stable_sort(oracle.begin(), oracle.end(),
+                   [&times](uint64_t a, uint64_t b) {
+                     return times[a] < times[b];
+                   });
+  ASSERT_EQ(order.size(), 1000000u);
   // Element-wise loop instead of EXPECT_EQ on the vectors: on mismatch this
   // reports the first diverging position, not a 1e6-element dump.
-  for (size_t i = 0; i < heap_order.size(); ++i) {
-    ASSERT_EQ(heap_order[i], wheel_order[i]) << "first divergence at " << i;
+  for (size_t i = 0; i < order.size(); ++i) {
+    ASSERT_EQ(order[i], oracle[i]) << "first divergence at " << i;
   }
 }
 
@@ -164,7 +159,7 @@ TEST(WheelBackend, RandomizedDifferentialMatchesHeap) {
 // did, an event scheduled afterwards into [until, next-pending) would land
 // behind the wheel and be lost or misordered.
 TEST(WheelBackend, ScheduleIntoRunUntilGapStaysOrdered) {
-  Simulation sim(EngineBackend::kWheel);
+  Simulation sim;
   std::vector<uint64_t> order;
   sim.ScheduleAt(1000, Rec{&order, 0});
   sim.RunUntil(100);  // peeks the 1000-tick event, runs nothing
@@ -180,7 +175,7 @@ TEST(WheelBackend, ScheduleIntoRunUntilGapStaysOrdered) {
 // Same regression across a level boundary: the pending event sits in a
 // higher level, so the bounded peek must also stop mid-cascade.
 TEST(WheelBackend, ScheduleIntoGapAcrossLevelBoundary) {
-  Simulation sim(EngineBackend::kWheel);
+  Simulation sim;
   std::vector<uint64_t> order;
   sim.ScheduleAt(70000, Rec{&order, 0});  // level 2 relative to tick 0
   sim.RunUntil(100);
@@ -205,7 +200,7 @@ struct FarChain {
 };
 
 TEST(WheelBackend, SteadyStateCascadesDoNotAllocate) {
-  Simulation sim(EngineBackend::kWheel);
+  Simulation sim;
   uint64_t fired = 0;
   constexpr uint64_t kPending = 64;
   sim.Reserve(kPending + 8);
@@ -225,99 +220,6 @@ TEST(WheelBackend, SteadyStateCascadesDoNotAllocate) {
       << "wheel path must be allocation-free in steady state";
   EXPECT_GT(sim.wheel_cascades(), cascades_before);
   EXPECT_GT(fired, kPending);
-}
-
-// Auto mode: dense short-horizon schedules keep the wheel; a sparse
-// population spread over a huge horizon migrates to the heap; dense traffic
-// afterwards migrates back. Both migrations preserve ordering.
-TEST(WheelBackend, AutoSelectsWheelForDenseSchedules) {
-  Simulation sim;  // kAuto
-  EXPECT_TRUE(sim.wheel_active());
-  std::vector<uint64_t> order;
-  for (uint64_t i = 0; i < 4096; ++i) {
-    sim.ScheduleAt(sim.Now() + static_cast<Nanos>(i % 100),
-                   Rec{&order, i});
-    if (i % 7 == 0) {
-      sim.RunUntil(sim.Now() + 3);
-    }
-  }
-  sim.RunToCompletion();
-  EXPECT_TRUE(sim.wheel_active());
-  EXPECT_EQ(sim.backend_switches(), 0u);
-}
-
-TEST(WheelBackend, AutoMigratesToHeapForSparseHorizonsAndBack) {
-  Simulation sim;  // kAuto
-  uint64_t fired = 0;
-  // Phase 1: four pending events re-arming ~2^30 ticks out — mean span huge
-  // vs population, so the density heuristic must hand off to the heap.
-  for (uint64_t i = 0; i < 4; ++i) {
-    sim.ScheduleAt(static_cast<Nanos>(1 + i),
-                   FarChain{&sim, &fired,
-                            static_cast<Nanos>((uint64_t{1} << 30) + i)});
-  }
-  while (sim.executed_events() < 2048) {
-    sim.RunUntil(sim.Now() + (Nanos{1} << 31));
-  }
-  EXPECT_FALSE(sim.wheel_active());
-  EXPECT_GE(sim.backend_switches(), 1u);
-  const uint64_t switches_after_sparse = sim.backend_switches();
-
-  // Phase 2: a dense burst (2K events within a 256-tick window) must bring
-  // the wheel back, and the mixed pending set must still drain in order.
-  std::vector<uint64_t> order;
-  const Nanos base = sim.Now();
-  for (uint64_t i = 0; i < 2048; ++i) {
-    sim.ScheduleAt(base + static_cast<Nanos>(i % 256), Rec{&order, i});
-  }
-  EXPECT_TRUE(sim.wheel_active());
-  EXPECT_GT(sim.backend_switches(), switches_after_sparse);
-  sim.RunUntil(base + 256);
-  ASSERT_EQ(order.size(), 2048u);
-  // Within each tick, ids ascend (FIFO survived the heap->wheel migration).
-  Nanos last_tick = -1;
-  uint64_t last_id = 0;
-  for (const uint64_t id : order) {
-    const Nanos tick = base + static_cast<Nanos>(id % 256);
-    if (tick == last_tick) {
-      EXPECT_GT(id, last_id);
-    } else {
-      EXPECT_GT(tick, last_tick);
-    }
-    last_tick = tick;
-    last_id = id;
-  }
-}
-
-TEST(WheelBackend, ParseAndNameRoundTrip) {
-  EngineBackend backend = EngineBackend::kHeap;
-  EXPECT_TRUE(ParseEngineBackend("auto", &backend));
-  EXPECT_EQ(backend, EngineBackend::kAuto);
-  EXPECT_TRUE(ParseEngineBackend("wheel", &backend));
-  EXPECT_EQ(backend, EngineBackend::kWheel);
-  EXPECT_TRUE(ParseEngineBackend("heap", &backend));
-  EXPECT_EQ(backend, EngineBackend::kHeap);
-  EXPECT_FALSE(ParseEngineBackend("calendar", &backend));
-  EXPECT_STREQ(EngineBackendName(EngineBackend::kWheel), "wheel");
-  EXPECT_STREQ(EngineBackendName(EngineBackend::kHeap), "heap");
-  EXPECT_STREQ(EngineBackendName(EngineBackend::kAuto), "auto");
-}
-
-// Pinned-heap engines must keep reporting heap as the active backend and
-// never touch the wheel counters.
-TEST(WheelBackend, PinnedHeapNeverMigrates) {
-  Simulation sim(EngineBackend::kHeap);
-  EXPECT_FALSE(sim.wheel_active());
-  std::vector<uint64_t> order;
-  for (uint64_t i = 0; i < 4096; ++i) {
-    sim.ScheduleAt(static_cast<Nanos>(i % 50), Rec{&order, i});
-  }
-  sim.RunToCompletion();
-  EXPECT_FALSE(sim.wheel_active());
-  EXPECT_STREQ(sim.active_backend_name(), "heap");
-  EXPECT_EQ(sim.backend_switches(), 0u);
-  EXPECT_EQ(sim.wheel_cascades(), 0u);
-  EXPECT_EQ(sim.wheel_rollovers(), 0u);
 }
 
 }  // namespace

@@ -19,6 +19,7 @@
 #include <string>
 #include <vector>
 
+#include "src/common/json_escape.h"
 #include "src/sim/cluster.h"
 #include "src/sim/policies/c_fcfs.h"
 #include "src/sim/policies/d_fcfs.h"
@@ -291,24 +292,6 @@ class Table {
   }
 
  private:
-  static std::string JsonEscape(const std::string& s) {
-    std::string out;
-    out.reserve(s.size());
-    for (const char c : s) {
-      if (c == '"' || c == '\\') {
-        out += '\\';
-        out += c;
-      } else if (static_cast<unsigned char>(c) < 0x20) {
-        char buf[8];
-        std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-        out += buf;
-      } else {
-        out += c;
-      }
-    }
-    return out;
-  }
-
   static std::string JsonValue(const std::string& cell) {
     if (!cell.empty()) {
       char* end = nullptr;

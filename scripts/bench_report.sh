@@ -2,10 +2,12 @@
 # Benchmark trajectory harness: runs the engine/channel microbenchmarks, a
 # fig03 smoke sweep, the fleet inter-server policy sweep and the deadline-tier
 # policy sweep, merges everything into one machine-readable report (default
-# BENCH_PR10.json) and validates it. The report header records the host (core count, CPU model,
-# frequency governor) so numbers from different machines are never compared
-# blind, and a `loc` block records the line counts of the git-tracked src/
-# and scripts/ trees, so shrinkage is tracked like speed. Each stage prints its wall-clock seconds so sweep-level speedups
+# BENCH_PR10.json) and validates it. The report header records the host
+# (core count, CPU model, frequency governor) so numbers from different
+# machines are never compared blind, and a `loc` block records the line
+# counts of the git-tracked src/, tools/ and scripts/ trees, so shrinkage is
+# tracked like speed (and code moved between src/ and tools/ does not read as
+# growth). Each stage prints its wall-clock seconds so sweep-level speedups
 # (e.g. the fleet stage on the timer-wheel event core) are visible directly
 # in CI output.
 #
@@ -85,6 +87,7 @@ tracked_lines() {
   git ls-files -z -- "$1" 2>/dev/null | xargs -0 -r cat | wc -l
 }
 LOC_SRC=$(tracked_lines src)
+LOC_TOOLS=$(tracked_lines tools)
 LOC_SCRIPTS=$(tracked_lines scripts)
 
 # Per-stage wall clock: stage <name> starts a stage, stage_done closes it.
@@ -217,7 +220,8 @@ stage_done
 MODE=$([ "$SMOKE" = 1 ] && echo smoke || echo full) \
 FIG03_MS="$FIG03_MS" FLEET_MS="$FLEET_MS" DEADLINE_MS="$DEADLINE_MS" \
 HOST_CORES="$HOST_CORES" HOST_CPU_MODEL="$HOST_CPU_MODEL" \
-HOST_GOVERNOR="$HOST_GOVERNOR" LOC_SRC="$LOC_SRC" LOC_SCRIPTS="$LOC_SCRIPTS" \
+HOST_GOVERNOR="$HOST_GOVERNOR" LOC_SRC="$LOC_SRC" LOC_TOOLS="$LOC_TOOLS" \
+LOC_SCRIPTS="$LOC_SCRIPTS" \
 python3 - "$WORK" "$OUT" <<'PY'
 import json, os, sys
 
@@ -363,6 +367,7 @@ report = {
     },
     "loc": {
         "src": int(os.environ["LOC_SRC"]),
+        "tools": int(os.environ["LOC_TOOLS"]),
         "scripts": int(os.environ["LOC_SCRIPTS"]),
     },
     "fig03_duration_ms": int(os.environ["FIG03_MS"]),
@@ -560,7 +565,7 @@ print("  paired engine speedup: " + ", ".join(
     for b in (256, 512, 1024, 4096, 16384))
     + " (target >= 3x at 256-4096, floor 2.5x at 16384)")
 print(f"  lines of code: src {report['loc']['src']}, "
-      f"scripts {report['loc']['scripts']}")
+      f"tools {report['loc']['tools']}, scripts {report['loc']['scripts']}")
 print(f"  cascade stress: "
       f"{eng['cascade_stress_cascades_per_event']:.2f} cascades/event, "
       f"{eng['cascade_stress_allocs_per_event']:.4f} allocs/event (want 0)")

@@ -21,8 +21,9 @@
 #                       the live scrape path executes under both sanitizers.
 #   fleet             - fleet determinism smoke: run the multi-server sim
 #                       (examples/fleet_demo) twice with the same seed and
-#                       require byte-identical fleet.json artifacts, then a
-#                       different seed and require divergence.
+#                       require byte-identical fleet.json and metrics.prom
+#                       artifacts (each page passing pspctl checkfile), then
+#                       a different seed and require divergence.
 #   ingress           - socket-ingress smoke: a real two-process exchange over
 #                       loopback — examples/udp_server on an ephemeral port
 #                       driven by the external tools/psp_loadgen; responses
@@ -38,7 +39,8 @@
 #                       psp_tracejoin fetching /lifecycle.json live and
 #                       joining both halves into a Perfetto trace (validated
 #                       with python3), pspctl checkfile on the loadgen's
-#                       --prom page, and a two-server pspctl federate merge
+#                       --prom page (also with a type name that needs
+#                       escaping), and a two-server pspctl federate merge
 #                       validated by --check.
 #   deadline          - deadline-tier smoke: wire-stamped budgets end to end
 #                       in two real processes — psp_loadgen stamps per-type
@@ -138,35 +140,45 @@ run_thread() {
 # Fleet determinism smoke: the whole multi-server simulation — N server
 # pipelines off one event queue, per-server RNG streams split from the fleet
 # seed, policy decisions, telemetry aggregation — must replay bit-identically
-# for a seed. Two same-seed runs are compared byte-for-byte on fleet.json;
-# a third run with another seed must diverge (guards against the artifact
-# not actually depending on the run).
+# for a seed. Two same-seed runs are compared byte-for-byte on fleet.json and
+# every metrics.prom (fleet page and member pages), each of which must also
+# pass `pspctl checkfile`; a third run with another seed must diverge (guards
+# against the artifact not actually depending on the run).
 run_fleet() {
   local build=${1:-build}
   cmake -B "$build" -S . >/dev/null
-  cmake --build "$build" -j "$(nproc)" --target fleet_demo
+  cmake --build "$build" -j "$(nproc)" --target fleet_demo pspctl
   local work="$build/fleet_smoke"
   rm -rf "$work"
   mkdir -p "$work"
   local flags="--servers 3 --policy shortest-q --duration-ms 20 --load 0.7"
-  # shellcheck disable=SC2086
-  "$build/examples/fleet_demo" $flags --seed 42 --out "$work/a" >/dev/null
-  # shellcheck disable=SC2086
-  "$build/examples/fleet_demo" $flags --seed 42 --out "$work/b" >/dev/null
-  # shellcheck disable=SC2086
-  "$build/examples/fleet_demo" $flags --seed 43 --out "$work/c" >/dev/null
-  if ! cmp -s "$work/a/fleet.json" "$work/b/fleet.json"; then
-    echo "fleet smoke FAILED: same-seed runs differ on fleet.json" >&2
-    diff "$work/a/fleet.json" "$work/b/fleet.json" | head -5 >&2 || true
-    return 1
-  fi
+  local run seed
+  for run in a:42 b:42 c:43; do
+    seed=${run#*:}
+    # shellcheck disable=SC2086
+    "$build/examples/fleet_demo" $flags --seed "$seed" \
+      --out "$work/${run%%:*}" >/dev/null
+  done
+  local f
+  for f in fleet.json metrics.prom server0/metrics.prom server1/metrics.prom \
+           server2/metrics.prom; do
+    if ! cmp -s "$work/a/$f" "$work/b/$f"; then
+      echo "fleet smoke FAILED: same-seed runs differ on $f" >&2
+      diff "$work/a/$f" "$work/b/$f" | head -5 >&2 || true
+      return 1
+    fi
+    case $f in
+      *.prom) "$build/tools/pspctl" checkfile "$work/a/$f" || return 1 ;;
+    esac
+  done
   if cmp -s "$work/a/fleet.json" "$work/c/fleet.json"; then
     echo "fleet smoke FAILED: different seeds produced identical" \
          "fleet.json" >&2
     return 1
   fi
   python3 -m json.tool "$work/a/fleet.json" >/dev/null
-  echo "fleet smoke OK (same-seed byte-identical, seeds diverge)"
+  echo "fleet smoke OK (same-seed byte-identical, seeds diverge," \
+       "pages well-formed)"
 }
 
 # Socket-ingress smoke: the kernel-UDP frontend as an operator would run it —
@@ -369,9 +381,17 @@ run_trace() {
   "$build/tools/psp_loadgen" --port "$udp_port" --rate 2000 --requests 1000 \
     --sample 64 --json --prom "$work/client.prom" \
     >"$work/client.json" || rc=$?
-  # The network-time exposition page must be well-formed Prometheus text.
+  # The network-time exposition page must be well-formed Prometheus text,
+  # and the --json report valid JSON, also when a --type name needs escaping.
+  if [ "$rc" = 0 ]; then
+    "$build/tools/psp_loadgen" --port "$udp_port" --rate 2000 \
+      --requests 200 --type '1:a"b:0.9:5' --type '2:LONG:0.1:50' --json \
+      --prom "$work/quoted.prom" >"$work/quoted.json" || rc=$?
+  fi
   if [ "$rc" = 0 ]; then
     "$build/tools/pspctl" checkfile "$work/client.prom" || rc=$?
+    "$build/tools/pspctl" checkfile "$work/quoted.prom" || rc=$?
+    python3 -m json.tool "$work/quoted.json" >/dev/null || rc=$?
   fi
   # Join against the live admin endpoint (exit 0 requires joined spans).
   if [ "$rc" = 0 ]; then

@@ -6,10 +6,11 @@
 // Exporters:
 //   * ToJson()       — the /fleet.json admin payload: per-server snapshots
 //                      under "servers" and the merged rollup under "merged".
-//   * ToPrometheus() — exposition-format page where every per-server sample
-//                      carries a server="N" label, so one scrape of the fleet
-//                      admin port yields the whole rack with the standard
-//                      aggregation story (sum by (le/type), max by (server)).
+//   * ToPrometheus() — RenderFleetPrometheusText: every member's
+//                      RenderPrometheusText page federated exactly as
+//                      `pspctl federate` merges separate processes, so one
+//                      scrape of the fleet admin port yields the whole rack
+//                      under the same family names.
 #ifndef PSP_SRC_FLEET_FLEET_SNAPSHOT_H_
 #define PSP_SRC_FLEET_FLEET_SNAPSHOT_H_
 
@@ -45,9 +46,11 @@ struct FleetSnapshot {
   // deterministic fleet run (backs the CI same-seed determinism smoke).
   std::string ToJson() const;
 
-  // Prometheus text exposition 0.0.4. Fleet-level scalars (psp_fleet_servers,
-  // dispatcher counters) are unlabelled; per-server counters/gauges/histogram
-  // summaries carry server="N".
+  // Prometheus text exposition 0.0.4: psp_fleet_policy and the dispatcher's
+  // counters/gauges ("fleet.x" -> psp_fleet_x, "fleet.server.N.x" ->
+  // psp_fleet_server_x{server="N"}), every member sample with server="N"
+  // first, server="merged" histogram rollups, summed psp_fleet_* counters,
+  // psp_fleet_servers and psp_up.
   std::string ToPrometheus() const;
 };
 

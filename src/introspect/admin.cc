@@ -13,6 +13,7 @@
 #include <cstdlib>
 #include <cstring>
 
+#include "src/common/json_escape.h"
 #include "src/introspect/prometheus.h"
 #include "src/telemetry/snapshot.h"
 
@@ -78,21 +79,6 @@ bool SplitKeyValue(const std::string& line, std::string* key,
   return true;
 }
 
-std::string JsonEscapeError(const std::string& s) {
-  std::string out;
-  for (const char c : s) {
-    if (c == '"' || c == '\\') {
-      out += '\\';
-    }
-    if (c == '\n') {
-      out += "\\n";
-      continue;
-    }
-    out += c;
-  }
-  return out;
-}
-
 }  // namespace
 
 std::string AdminConfig::Validate() const {
@@ -127,7 +113,7 @@ std::string LifecycleJsonFromSnapshot(const TelemetrySnapshot& snapshot) {
            ",\"type\":" + std::to_string(t.type);
     const auto name = snapshot.type_names.find(t.type);
     if (name != snapshot.type_names.end()) {
-      out += ",\"type_name\":\"" + JsonEscapeError(name->second) + "\"";
+      out += ",\"type_name\":\"" + JsonEscape(name->second) + "\"";
     }
     out += ",\"worker\":" + std::to_string(t.worker) +
            ",\"wire_request_id\":" + std::to_string(t.wire_request_id) +
@@ -569,7 +555,7 @@ void AdminServer::HandleRequest(const std::string& method,
 
   *status = 405;
   *response =
-      "{\"error\":\"" + JsonEscapeError("method not allowed: " + method) +
+      "{\"error\":\"" + JsonEscape("method not allowed: " + method) +
       "\"}\n";
 }
 

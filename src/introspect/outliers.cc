@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "src/common/json_escape.h"
+
 namespace psp {
 namespace {
 
@@ -191,19 +193,8 @@ std::string OutlierRecorder::ToJson(
       const std::string name = it != type_names.end()
                                    ? it->second
                                    : "type-" + std::to_string(type);
-      std::string escaped;
-      for (const char c : name) {
-        if (c == '"' || c == '\\') {
-          escaped += '\\';
-        }
-        if (c == '\n') {
-          escaped += "\\n";
-          continue;
-        }
-        escaped += c;
-      }
-      out += "{\"type\":" + std::to_string(type) + ",\"name\":\"" + escaped +
-             "\",\"outliers\":[";
+      out += "{\"type\":" + std::to_string(type) + ",\"name\":\"" +
+             JsonEscape(name) + "\",\"outliers\":[";
       bool first_entry = true;
       for (const OutlierEntry& e : entries) {
         if (!first_entry) {

@@ -6,6 +6,8 @@
 #include <map>
 #include <utility>
 
+#include "src/common/json_escape.h"
+
 namespace psp {
 namespace {
 
@@ -305,17 +307,6 @@ std::string Num(double v) {
 
 Nanos ClampedSpan(Nanos from, Nanos to) { return to > from ? to - from : 0; }
 
-std::string JsonEscapeName(const std::string& s) {
-  std::string out;
-  for (const char c : s) {
-    if (c == '"' || c == '\\') {
-      out += '\\';
-    }
-    out += c;
-  }
-  return out;
-}
-
 }  // namespace
 
 bool ParseClientSamplesJson(const std::string& json,
@@ -549,7 +540,7 @@ std::string ExportJoinedTrace(const std::vector<JoinedSpan>& spans,
   for (const JoinedSpan& s : spans) {
     const ClientTraceRecord& c = s.client;
     std::string name = s.has_server && !s.server.type_name.empty()
-                           ? JsonEscapeName(s.server.type_name)
+                           ? JsonEscape(s.server.type_name)
                            : "type-" + std::to_string(c.wire_type);
     const std::string id =
         "f" + std::to_string(c.flow) + "r" + std::to_string(c.request_id);

@@ -2,6 +2,7 @@
 
 #include <cstdio>
 
+#include "src/common/json_escape.h"
 #include "src/telemetry/timeseries.h"
 
 namespace psp {
@@ -154,35 +155,19 @@ std::string BuildFlightRecord(const std::vector<SloAlert>& alerts,
       out += ',';
     }
     first = false;
-    char buf[256];
-    std::snprintf(buf, sizeof(buf),
-                  "{\"at\":%lld,\"interval_seq\":%llu,\"type\":\"%s\","
-                  "\"burn_rate\":%.3f,\"window_completions\":%llu,"
-                  "\"window_violations\":%llu}",
-                  static_cast<long long>(a.at),
-                  static_cast<unsigned long long>(a.interval_seq),
-                  a.type_name.c_str(), a.burn_rate,
-                  static_cast<unsigned long long>(a.window_completions),
-                  static_cast<unsigned long long>(a.window_violations));
-    out += buf;
+    char burn_rate[32];
+    std::snprintf(burn_rate, sizeof(burn_rate), "%.3f", a.burn_rate);
+    out += "{\"at\":" + std::to_string(a.at) +
+           ",\"interval_seq\":" + std::to_string(a.interval_seq) +
+           ",\"type\":\"" + JsonEscape(a.type_name) +
+           "\",\"burn_rate\":" + burn_rate +
+           ",\"window_completions\":" + std::to_string(a.window_completions) +
+           ",\"window_violations\":" + std::to_string(a.window_violations) +
+           '}';
   }
-  out += "],\"intervals_csv\":\"";
   // The CSV block is embedded as one JSON string (newlines escaped).
-  for (const char c : IntervalsToCsv(intervals, snapshot.type_names)) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      default:
-        out += c;
-    }
-  }
+  out += "],\"intervals_csv\":\"" +
+         JsonEscape(IntervalsToCsv(intervals, snapshot.type_names));
   out += "\",\"snapshot\":";
   out += snapshot.ToJson();
   out += '}';

@@ -2,39 +2,10 @@
 
 #include <cstdio>
 
+#include "src/common/json_escape.h"
+
 namespace psp {
 namespace {
-
-// Minimal JSON string escaping (names are ASCII identifiers in practice).
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (const char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
 
 void AppendHistogramJson(std::string* out, const Histogram& h) {
   char buf[256];

@@ -115,6 +115,21 @@ TEST(AdminServer, ServesMetricsSnapshotAndHealth) {
   EXPECT_FALSE(server.running());
 }
 
+// The 405 body echoes the caller's method as a JSON string: control bytes
+// from outside the process must arrive escaped, not raw.
+TEST(AdminServer, MethodNotAllowedBodyEscapesMethod) {
+  AdminConfig config;
+  config.enabled = true;
+  AdminHooks hooks;
+  hooks.snapshot = [] { return TelemetrySnapshot{}; };
+  AdminServer server(config, std::move(hooks));
+  ASSERT_EQ(server.Start(), "");
+  const std::string response = HttpRequest(server.port(), "G\tET", "/");
+  EXPECT_EQ(Status(response), 405);
+  EXPECT_EQ(Body(response), "{\"error\":\"method not allowed: G\\tET\"}\n");
+  server.Stop();
+}
+
 TEST(AdminServer, UnixDomainSocketListener) {
   AdminConfig config;
   config.enabled = true;

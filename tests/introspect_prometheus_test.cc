@@ -1,7 +1,7 @@
-// Format contract for the Prometheus text exposition renderer
+// Format contract for the Prometheus text exposition module
 // (src/introspect/prometheus.h): name sanitisation, label escaping, counter
 // vs gauge vs summary shapes, worker-label folding, latest-interval gauges,
-// and byte determinism.
+// byte determinism, the page validator and the federation.
 #include "src/introspect/prometheus.h"
 
 #include <gtest/gtest.h>
@@ -335,27 +335,7 @@ TEST(Prometheus, EveryLineWellFormed) {
   snap.counters["a.b"] = 1;
   snap.gauges["worker.2.depth"] = 3;
   snap.histograms["h"].Add(5);
-  for (const std::string& line : Lines(RenderPrometheusText(snap))) {
-    if (line.empty()) {
-      continue;
-    }
-    if (line[0] == '#') {
-      EXPECT_TRUE(line.rfind("# HELP ", 0) == 0 ||
-                  line.rfind("# TYPE ", 0) == 0)
-          << line;
-      continue;
-    }
-    // Sample lines: name[{labels}] SP value, exactly one separating space
-    // outside the label block.
-    const size_t brace = line.find('{');
-    const size_t close = line.rfind('}');
-    const size_t sep = close != std::string::npos && brace != std::string::npos
-                           ? line.find(' ', close)
-                           : line.find(' ');
-    ASSERT_NE(sep, std::string::npos) << line;
-    EXPECT_GT(sep, 0u) << line;
-    EXPECT_LT(sep + 1, line.size()) << line;
-  }
+  EXPECT_EQ(CheckExposition(RenderPrometheusText(snap)), "");
 }
 
 TEST(Prometheus, ByteDeterministic) {
@@ -374,6 +354,216 @@ TEST(Prometheus, ByteDeterministic) {
   snap.timeseries.push_back(rec);
 
   EXPECT_EQ(RenderPrometheusText(snap), RenderPrometheusText(snap));
+}
+
+TEST(Exposition, ParsesSampleParts) {
+  PrometheusSample sample;
+  EXPECT_EQ(ParsePrometheusSample("psp_x 42", &sample), "");
+  EXPECT_EQ(sample.name, "psp_x");
+  EXPECT_EQ(sample.labels, "");
+  EXPECT_EQ(sample.value, "42");
+  // `}` and `"` inside a quoted, escaped label value stay in the block.
+  EXPECT_EQ(ParsePrometheusSample(
+                "psp_x{a=\"}\",b=\"q\\\"z\",c=\"\\\\\"} -1.5e3", &sample),
+            "");
+  EXPECT_EQ(sample.name, "psp_x");
+  EXPECT_EQ(sample.labels, "a=\"}\",b=\"q\\\"z\",c=\"\\\\\"");
+  EXPECT_EQ(sample.value, "-1.5e3");
+}
+
+TEST(Exposition, AcceptsWellFormedPages) {
+  EXPECT_EQ(CheckExposition("# HELP psp_x a counter\n"
+                            "# TYPE psp_x counter\n"
+                            "psp_x{a=\"}\",b=\"q\\\"z\"} 1\n"
+                            "\n"
+                            "ns:psp_y NaN\n"
+                            "psp_z +Inf"),
+            "");
+}
+
+TEST(Exposition, RejectsMalformedNames) {
+  EXPECT_EQ(CheckExposition("9psp 1\n"), "line 1: bad metric name");
+  EXPECT_EQ(CheckExposition("psp_ok 1\n{a=\"b\"} 1\n"),
+            "line 2: bad metric name");
+  EXPECT_EQ(CheckExposition(" psp_x 1\n"), "line 1: bad metric name");
+  EXPECT_EQ(CheckExposition("psp-x 1\n"), "line 1: missing value separator");
+}
+
+TEST(Exposition, RejectsUnterminatedLabels) {
+  EXPECT_EQ(CheckExposition("psp_x{a=\"b\" 1\n"),
+            "line 1: unterminated labels");
+  // The closing brace sits inside an unterminated quoted value.
+  EXPECT_EQ(CheckExposition("psp_x{a=\"b} 1\n"),
+            "line 1: unterminated labels");
+  // An escaped quote does not close the value.
+  EXPECT_EQ(CheckExposition("psp_x{a=\"b\\\"} 1\n"),
+            "line 1: unterminated labels");
+}
+
+TEST(Exposition, RejectsBadValues) {
+  EXPECT_EQ(CheckExposition("psp_x abc\n"), "line 1: bad sample value \"abc\"");
+  EXPECT_EQ(CheckExposition("psp_x 1 2\n"), "line 1: bad sample value \"1 2\"");
+  EXPECT_EQ(CheckExposition("psp_x \n"), "line 1: bad sample value \"\"");
+  EXPECT_EQ(CheckExposition("psp_x\n"), "line 1: missing value separator");
+  EXPECT_EQ(CheckExposition("psp_x{a=\"b\"}1\n"),
+            "line 1: missing value separator");
+}
+
+TEST(Exposition, RejectsStrayComments) {
+  EXPECT_EQ(CheckExposition("# a note\npsp_x 1\n"),
+            "line 1: comment is neither HELP nor TYPE");
+  EXPECT_EQ(CheckExposition("psp_x 1\n#TYPE psp_x gauge\n"),
+            "line 2: comment is neither HELP nor TYPE");
+}
+
+TEST(Exposition, RejectsEmptyPages) {
+  EXPECT_EQ(CheckExposition(""), "no samples in exposition");
+  EXPECT_EQ(CheckExposition("\n\n"), "no samples in exposition");
+  EXPECT_EQ(CheckExposition("# HELP psp_x x\n# TYPE psp_x gauge\n"),
+            "no samples in exposition");
+}
+
+TEST(Exposition, RejectsFamilyTypedTwice) {
+  EXPECT_EQ(CheckExposition("# TYPE psp_x gauge\npsp_x 1\n"
+                            "# TYPE psp_y gauge\npsp_y 1\n"
+                            "# TYPE psp_x gauge\npsp_x 2\n"),
+            "line 5: second TYPE for family psp_x");
+  // A repeated HELP alone is tolerated.
+  EXPECT_EQ(CheckExposition("# HELP psp_x a\n# HELP psp_x b\npsp_x 1\n"), "");
+}
+
+// Two fixed member pages and their federation, recorded from the federator
+// as it stood inside pspctl before it moved into this module.
+const std::vector<std::string>& FederationInputs() {
+  static const std::vector<std::string> pages = {
+      "# HELP psp_requests_total counter \"requests\"\n"
+      "# TYPE psp_requests_total counter\n"
+      "psp_requests_total 10\n"
+      "# HELP psp_worker_requests_total counter per worker\n"
+      "# TYPE psp_worker_requests_total counter\n"
+      "psp_worker_requests_total{worker=\"0\"} 4\n"
+      "psp_worker_requests_total{worker=\"1\"} 6\n"
+      "# TYPE psp_seconds_total counter\n"
+      "psp_seconds_total{type=\"a\\\"b\"} 1.5\n"
+      "# HELP psp_depth gauge \"depth\"\n"
+      "# TYPE psp_depth gauge\n"
+      "psp_depth 3\n"
+      "# HELP psp_latency latency as quantile summary\n"
+      "# TYPE psp_latency summary\n"
+      "psp_latency{quantile=\"0.5\"} 1000\n"
+      "psp_latency{quantile=\"0.99\"} 3000\n"
+      "psp_latency_sum 4000\n"
+      "psp_latency_count 2\n"
+      "psp_up 1\n",
+      "# HELP psp_requests_total counter \"requests\"\n"
+      "# TYPE psp_requests_total counter\n"
+      "psp_requests_total 5\n"
+      "# TYPE psp_worker_requests_total counter\n"
+      "psp_worker_requests_total{worker=\"0\"} 5\n"
+      "# HELP psp_seconds_total seconds per type\n"
+      "# TYPE psp_seconds_total counter\n"
+      "psp_seconds_total{type=\"a\\\"b\"} 0.25\n"
+      "# HELP psp_latency latency as quantile summary\n"
+      "# TYPE psp_latency summary\n"
+      "psp_latency{quantile=\"0.5\"} 2000\n"
+      "psp_latency{quantile=\"0.99\"} 2000\n"
+      "psp_latency_sum 2000\n"
+      "psp_latency_count 1\n"
+      "# HELP psp_only_b_total counter seen on one page\n"
+      "# TYPE psp_only_b_total counter\n"
+      "psp_only_b_total 7\n"
+      "psp_up 1\n"};
+  return pages;
+}
+
+TEST(Federation, MatchesPinnedOutput) {
+  const std::string expected =
+      "# HELP psp_requests_total counter \"requests\"\n"
+      "# TYPE psp_requests_total counter\n"
+      "psp_requests_total{server=\"0\"} 10\n"
+      "psp_requests_total{server=\"1\"} 5\n"
+      "# HELP psp_worker_requests_total counter per worker\n"
+      "# TYPE psp_worker_requests_total counter\n"
+      "psp_worker_requests_total{server=\"0\",worker=\"0\"} 4\n"
+      "psp_worker_requests_total{server=\"0\",worker=\"1\"} 6\n"
+      "psp_worker_requests_total{server=\"1\",worker=\"0\"} 5\n"
+      "# HELP psp_seconds_total seconds per type\n"
+      "# TYPE psp_seconds_total counter\n"
+      "psp_seconds_total{server=\"0\",type=\"a\\\"b\"} 1.5\n"
+      "psp_seconds_total{server=\"1\",type=\"a\\\"b\"} 0.25\n"
+      "# HELP psp_depth gauge \"depth\"\n"
+      "# TYPE psp_depth gauge\n"
+      "psp_depth{server=\"0\"} 3\n"
+      "# HELP psp_latency latency as quantile summary\n"
+      "# TYPE psp_latency summary\n"
+      "psp_latency{server=\"0\",quantile=\"0.5\"} 1000\n"
+      "psp_latency{server=\"0\",quantile=\"0.99\"} 3000\n"
+      "psp_latency{server=\"1\",quantile=\"0.5\"} 2000\n"
+      "psp_latency{server=\"1\",quantile=\"0.99\"} 2000\n"
+      "psp_latency_sum{server=\"0\"} 4000\n"
+      "psp_latency_sum{server=\"1\"} 2000\n"
+      "psp_latency_count{server=\"0\"} 2\n"
+      "psp_latency_count{server=\"1\"} 1\n"
+      "# HELP psp_only_b_total counter seen on one page\n"
+      "# TYPE psp_only_b_total counter\n"
+      "psp_only_b_total{server=\"1\"} 7\n"
+      "# HELP psp_fleet_requests_total Sum of psp_requests_total across "
+      "federated servers.\n"
+      "# TYPE psp_fleet_requests_total counter\n"
+      "psp_fleet_requests_total 15\n"
+      "# HELP psp_fleet_worker_requests_total Sum of "
+      "psp_worker_requests_total across federated servers.\n"
+      "# TYPE psp_fleet_worker_requests_total counter\n"
+      "psp_fleet_worker_requests_total{worker=\"0\"} 9\n"
+      "psp_fleet_worker_requests_total{worker=\"1\"} 6\n"
+      "# HELP psp_fleet_seconds_total Sum of psp_seconds_total across "
+      "federated servers.\n"
+      "# TYPE psp_fleet_seconds_total counter\n"
+      "psp_fleet_seconds_total{type=\"a\\\"b\"} 1.75\n"
+      "# HELP psp_fleet_only_b_total Sum of psp_only_b_total across "
+      "federated servers.\n"
+      "# TYPE psp_fleet_only_b_total counter\n"
+      "psp_fleet_only_b_total 7\n"
+      "# HELP psp_fleet_servers Endpoints merged into this page.\n"
+      "# TYPE psp_fleet_servers gauge\n"
+      "psp_fleet_servers 2\n"
+      "psp_up 1\n";
+  const std::string merged = FederateMetrics(FederationInputs());
+  EXPECT_EQ(merged, expected);
+  EXPECT_EQ(CheckExposition(merged), "");
+}
+
+TEST(Federation, RenderedPagesFederateToAValidPage) {
+  TelemetrySnapshot a;
+  a.counters["scheduler.dispatched"] = 3;
+  a.counters["worker.0.requests"] = 3;
+  a.histograms["latency"].Add(1000);
+  TelemetrySnapshot b = a;
+  b.counters["scheduler.dispatched"] = 4;
+  const std::string merged =
+      FederateMetrics({RenderPrometheusText(a), RenderPrometheusText(b)});
+  EXPECT_EQ(CheckExposition(merged), "");
+  EXPECT_TRUE(Contains(merged, "\npsp_fleet_scheduler_dispatched_total 7\n"));
+  EXPECT_TRUE(
+      Contains(merged, "\npsp_fleet_worker_requests_total{worker=\"0\"} 6\n"));
+  EXPECT_TRUE(Contains(merged, "\npsp_latency_count{server=\"1\"} 1\n"));
+  // Each page's own psp_up collapses into one terminal sample.
+  EXPECT_EQ(merged.find("psp_up"), merged.rfind("psp_up"));
+  EXPECT_TRUE(merged.size() >= 9 &&
+              merged.compare(merged.size() - 9, 9, "psp_up 1\n") == 0);
+}
+
+// Indexed fleet-dispatcher names fold into a server label, like workers.
+TEST(Prometheus, FleetServerMetricsFoldIntoLabels) {
+  TelemetrySnapshot snap;
+  snap.counters["fleet.server.0.dispatched"] = 5;
+  snap.counters["fleet.server.1.dispatched"] = 6;
+  const std::string text = RenderPrometheusText(snap);
+  EXPECT_TRUE(Contains(
+      text, "\npsp_fleet_server_dispatched_total{server=\"0\"} 5\n"));
+  EXPECT_TRUE(Contains(
+      text, "\npsp_fleet_server_dispatched_total{server=\"1\"} 6\n"));
+  EXPECT_FALSE(Contains(text, "fleet_server_0"));
 }
 
 }  // namespace

@@ -346,6 +346,31 @@ TEST(ParseLifecycle, RoundTripsRecords) {
   EXPECT_EQ(out[0].stamp[kNumTraceStages - 1], 160);
 }
 
+// A lifecycle type name decoded from "\n" must be re-escaped when the joined
+// trace emits it, or the Perfetto JSON breaks.
+TEST(ExportJoinedTrace, EscapesDecodedTypeNames) {
+  const std::string json = R"({"traces": [
+      {"request_id": 7, "type": 1, "type_name": "A\nB\t\"C\"", "worker": 0,
+       "wire_request_id": 1, "client_id": 0,
+       "stamps": {"rx": 100, "classified": 110, "enqueued": 120,
+                  "dispatched": 130, "handler_start": 140,
+                  "handler_end": 150, "tx": 160}}]})";
+  std::vector<ServerTraceRecord> server;
+  std::string error;
+  ASSERT_TRUE(ParseLifecycleJson(json, &server, &error)) << error;
+  ASSERT_EQ(server.size(), 1u);
+  ASSERT_EQ(server[0].type_name, "A\nB\t\"C\"");
+  const std::vector<ClientTraceRecord> client = {
+      MakeClient(1, 0, 10'000, /*offset=*/0, 200, 200)};
+  JoinStats stats;
+  const std::vector<JoinedSpan> spans = JoinTraces(client, server, &stats);
+  ASSERT_EQ(stats.joined, 1u);
+  const std::string trace =
+      ExportJoinedTrace(spans, EstimateClockOffset(client));
+  EXPECT_NE(trace.find("\"name\":\"A\\nB\\t\\\"C\\\"\""), std::string::npos);
+  EXPECT_EQ(trace.find("A\nB"), std::string::npos);
+}
+
 TEST(ParseLifecycle, RequiresTracesArray) {
   std::vector<ServerTraceRecord> out;
   std::string error;

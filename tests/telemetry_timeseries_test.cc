@@ -335,6 +335,25 @@ TEST(FlightRecorder, BuildsSelfDescribingRecord) {
   EXPECT_NE(record.find("scheduler.completed"), std::string::npos);
 }
 
+// A long or control-laden type name cannot cut the alert object short.
+TEST(FlightRecorder, AlertTypeNameIsEscapedAndWhole) {
+  SloAlert alert;
+  alert.at = 5000;
+  alert.interval_seq = 4;
+  alert.type_name = std::string(300, 'x') + "\"\n";
+  alert.burn_rate = 5.0;
+  alert.window_completions = 100;
+  alert.window_violations = 5;
+  const std::string record =
+      BuildFlightRecord({alert}, {}, TelemetrySnapshot{});
+  EXPECT_NE(record.find("{\"at\":5000,\"interval_seq\":4,\"type\":\"" +
+                        std::string(300, 'x') +
+                        "\\\"\\n\",\"burn_rate\":5.000,"
+                        "\"window_completions\":100,"
+                        "\"window_violations\":5}],"),
+            std::string::npos);
+}
+
 TEST(FlightRecorder, TelemetryDumpsOnViolationStorm) {
   const std::string path = "/tmp/psp_flight_test.json";
   std::remove(path.c_str());

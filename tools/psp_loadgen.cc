@@ -17,7 +17,9 @@
 #include <string>
 #include <vector>
 
+#include "src/common/json_escape.h"
 #include "src/common/time.h"
+#include "src/introspect/prometheus.h"
 #include "src/net/udp_loadgen.h"
 
 namespace {
@@ -126,16 +128,17 @@ bool WriteNetProm(const char* path, const std::vector<TypeArg>& types,
         continue;
       }
       const psp::Histogram& h = it->second;
+      const std::string type = psp::PrometheusLabelEscape(t.name);
       for (const auto& [q, p] : {std::pair<const char*, double>{"0.5", 50},
                                  {"0.99", 99},
                                  {"0.999", 99.9}}) {
         std::fprintf(f, "%s{type=\"%s\",quantile=\"%s\"} %.3f\n", name,
-                     t.name.c_str(), q, psp::ToMicros(h.Percentile(p)));
+                     type.c_str(), q, psp::ToMicros(h.Percentile(p)));
       }
-      std::fprintf(f, "%s_sum{type=\"%s\"} %.3f\n", name, t.name.c_str(),
+      std::fprintf(f, "%s_sum{type=\"%s\"} %.3f\n", name, type.c_str(),
                    psp::ToMicros(static_cast<psp::Nanos>(
                        h.Mean() * static_cast<double>(h.Count()))));
-      std::fprintf(f, "%s_count{type=\"%s\"} %llu\n", name, t.name.c_str(),
+      std::fprintf(f, "%s_count{type=\"%s\"} %llu\n", name, type.c_str(),
                    static_cast<unsigned long long>(h.Count()));
     }
   };
@@ -288,7 +291,7 @@ int main(int argc, char** argv) {
       std::printf(
           "%s{\"name\":\"%s\",\"wire_id\":%u,\"count\":%llu,\"p50_us\":%.1f,"
           "\"p99_us\":%.1f,\"p999_us\":%.1f",
-          first ? "" : ",", t.name.c_str(), t.wire_id,
+          first ? "" : ",", psp::JsonEscape(t.name).c_str(), t.wire_id,
           static_cast<unsigned long long>(it->second.Count()),
           psp::ToMicros(it->second.Percentile(50)),
           psp::ToMicros(it->second.Percentile(99)),
@@ -342,7 +345,7 @@ int main(int argc, char** argv) {
             "%s{\"name\":\"%s\",\"wire_id\":%u,\"count\":%llu,"
             "\"sojourn_p50_us\":%.1f,\"sojourn_p99_us\":%.1f,"
             "\"net_p50_us\":%.1f,\"net_p99_us\":%.1f}",
-            first ? "" : ",", t.name.c_str(), t.wire_id,
+            first ? "" : ",", psp::JsonEscape(t.name).c_str(), t.wire_id,
             static_cast<unsigned long long>(sj->second.Count()),
             psp::ToMicros(sj->second.Percentile(50)),
             psp::ToMicros(sj->second.Percentile(99)),

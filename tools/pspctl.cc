@@ -1,7 +1,8 @@
 // pspctl: command-line client for the live introspection plane
-// (src/introspect/admin.h). Deliberately standalone — plain POSIX sockets,
-// no psp libraries — so it builds anywhere and exercises the endpoint the
-// way an external scraper would.
+// (src/introspect/admin.h). It speaks HTTP over its own plain POSIX socket
+// client, so it exercises the endpoint the way an external scraper would;
+// the exposition validator and the federation come from
+// src/introspect/prometheus.h, the same code the in-process fleet page uses.
 //
 // Usage:
 //   pspctl [--port P | --host H:P | --uds PATH] [--out FILE] [--check] CMD
@@ -42,7 +43,6 @@
 #include <sys/un.h>
 #include <unistd.h>
 
-#include <cctype>
 #include <cerrno>
 #include <cmath>
 #include <ctime>
@@ -50,11 +50,12 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
-#include <iostream>
 #include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
+
+#include "src/introspect/prometheus.h"
 
 namespace {
 
@@ -173,295 +174,6 @@ int Request(const Options& opt, const std::string& method,
   return status;
 }
 
-// Minimal exposition-format validator: every non-comment, non-blank line
-// must be `name[{labels}] value`, names legal, HELP/TYPE comments well
-// formed. Returns "" when valid, else the first problem.
-std::string CheckExposition(const std::string& text) {
-  size_t pos = 0;
-  int line_no = 0;
-  bool any_sample = false;
-  while (pos < text.size()) {
-    size_t eol = text.find('\n', pos);
-    if (eol == std::string::npos) {
-      eol = text.size();
-    }
-    const std::string line = text.substr(pos, eol - pos);
-    pos = eol + 1;
-    ++line_no;
-    if (line.empty()) {
-      continue;
-    }
-    if (line[0] == '#') {
-      if (line.compare(0, 7, "# HELP ") != 0 &&
-          line.compare(0, 7, "# TYPE ") != 0) {
-        return "line " + std::to_string(line_no) +
-               ": comment is neither HELP nor TYPE";
-      }
-      continue;
-    }
-    // name
-    size_t i = 0;
-    while (i < line.size() &&
-           (std::isalnum(static_cast<unsigned char>(line[i])) ||
-            line[i] == '_' || line[i] == ':')) {
-      ++i;
-    }
-    if (i == 0 || std::isdigit(static_cast<unsigned char>(line[0]))) {
-      return "line " + std::to_string(line_no) + ": bad metric name";
-    }
-    // optional {labels}
-    if (i < line.size() && line[i] == '{') {
-      bool in_quotes = false;
-      bool escaped = false;
-      ++i;
-      for (; i < line.size(); ++i) {
-        const char c = line[i];
-        if (escaped) {
-          escaped = false;
-          continue;
-        }
-        if (in_quotes && c == '\\') {
-          escaped = true;
-          continue;
-        }
-        if (c == '"') {
-          in_quotes = !in_quotes;
-          continue;
-        }
-        if (!in_quotes && c == '}') {
-          break;
-        }
-      }
-      if (i >= line.size() || line[i] != '}') {
-        return "line " + std::to_string(line_no) + ": unterminated labels";
-      }
-      ++i;
-    }
-    if (i >= line.size() || line[i] != ' ') {
-      return "line " + std::to_string(line_no) + ": missing value separator";
-    }
-    const std::string value = line.substr(i + 1);
-    char* end = nullptr;
-    std::strtod(value.c_str(), &end);
-    if (end == value.c_str() || *end != '\0') {
-      return "line " + std::to_string(line_no) + ": bad sample value \"" +
-             value + "\"";
-    }
-    any_sample = true;
-  }
-  if (!any_sample) {
-    return "no samples in exposition";
-  }
-  return "";
-}
-
-// One parsed exposition sample: name, the raw label block (without braces,
-// possibly empty) and the value text.
-struct Sample {
-  std::string name;
-  std::string labels;
-  std::string value;
-};
-
-// Splits a non-comment exposition line; false for lines CheckExposition
-// would reject anyway (federate runs after per-page validation).
-bool ParseSampleLine(const std::string& line, Sample* out) {
-  size_t i = 0;
-  while (i < line.size() &&
-         (std::isalnum(static_cast<unsigned char>(line[i])) ||
-          line[i] == '_' || line[i] == ':')) {
-    ++i;
-  }
-  if (i == 0) {
-    return false;
-  }
-  out->name = line.substr(0, i);
-  out->labels.clear();
-  if (i < line.size() && line[i] == '{') {
-    const size_t open = i;
-    bool in_quotes = false;
-    bool escaped = false;
-    ++i;
-    for (; i < line.size(); ++i) {
-      const char c = line[i];
-      if (escaped) {
-        escaped = false;
-        continue;
-      }
-      if (in_quotes && c == '\\') {
-        escaped = true;
-        continue;
-      }
-      if (c == '"') {
-        in_quotes = !in_quotes;
-        continue;
-      }
-      if (!in_quotes && c == '}') {
-        break;
-      }
-    }
-    if (i >= line.size()) {
-      return false;
-    }
-    out->labels = line.substr(open + 1, i - open - 1);
-    ++i;
-  }
-  if (i >= line.size() || line[i] != ' ') {
-    return false;
-  }
-  out->value = line.substr(i + 1);
-  return true;
-}
-
-// Merges N /metrics pages from independent server processes into one
-// exposition: per-server samples labelled server="i" (family HELP/TYPE kept
-// from the first page that declares them), counter families summed across
-// servers into psp_fleet_* (the same labelling convention FleetSnapshot uses
-// for in-process fleets), plus psp_fleet_servers and a terminal psp_up.
-std::string FederateMetrics(const std::vector<std::string>& pages) {
-  struct Family {
-    std::string help;
-    std::string type;
-    // Per-server sample lines, already server-labelled.
-    std::vector<std::string> lines;
-    // Aggregation: labels -> summed value (counters only).
-    std::vector<std::pair<std::string, double>> sums;
-    bool integral = true;
-  };
-  std::vector<std::string> order;  // first-seen family order
-  std::vector<Family> families;
-  const auto family_of = [&](const std::string& name) -> Family& {
-    for (size_t i = 0; i < order.size(); ++i) {
-      if (order[i] == name) {
-        return families[i];
-      }
-    }
-    order.push_back(name);
-    families.emplace_back();
-    return families.back();
-  };
-
-  for (size_t server = 0; server < pages.size(); ++server) {
-    const std::string& page = pages[server];
-    size_t pos = 0;
-    while (pos < page.size()) {
-      size_t eol = page.find('\n', pos);
-      if (eol == std::string::npos) {
-        eol = page.size();
-      }
-      const std::string line = page.substr(pos, eol - pos);
-      pos = eol + 1;
-      if (line.empty()) {
-        continue;
-      }
-      if (line[0] == '#') {
-        // "# HELP name text" / "# TYPE name kind"
-        const bool is_help = line.compare(0, 7, "# HELP ") == 0;
-        const bool is_type = line.compare(0, 7, "# TYPE ") == 0;
-        if (!is_help && !is_type) {
-          continue;
-        }
-        const size_t name_begin = 7;
-        const size_t name_end = line.find(' ', name_begin);
-        if (name_end == std::string::npos) {
-          continue;
-        }
-        Family& fam = family_of(line.substr(name_begin, name_end - name_begin));
-        std::string& slot = is_help ? fam.help : fam.type;
-        if (slot.empty()) {
-          slot = line.substr(name_end + 1);
-        }
-        continue;
-      }
-      Sample sample;
-      if (!ParseSampleLine(line, &sample)) {
-        continue;
-      }
-      if (sample.name == "psp_up") {
-        continue;  // re-emitted once, terminal, for the merged page
-      }
-      Family& fam = family_of(sample.name);
-      std::string labelled = "server=\"" + std::to_string(server) + "\"";
-      if (!sample.labels.empty()) {
-        labelled += "," + sample.labels;
-      }
-      fam.lines.push_back(sample.name + "{" + labelled + "} " + sample.value);
-      char* end = nullptr;
-      const double v = std::strtod(sample.value.c_str(), &end);
-      if (end != sample.value.c_str() && *end == '\0') {
-        bool found = false;
-        for (auto& [labels, sum] : fam.sums) {
-          if (labels == sample.labels) {
-            sum += v;
-            found = true;
-            break;
-          }
-        }
-        if (!found) {
-          fam.sums.emplace_back(sample.labels, v);
-        }
-        if (v != static_cast<double>(static_cast<long long>(v))) {
-          fam.integral = false;
-        }
-      }
-    }
-  }
-
-  std::string out;
-  const auto append_value = [&](double v, bool integral) {
-    char buf[64];
-    if (integral && v < 9e15 && v > -9e15) {
-      std::snprintf(buf, sizeof(buf), "%lld", static_cast<long long>(v));
-    } else {
-      std::snprintf(buf, sizeof(buf), "%.9g", v);
-    }
-    out += buf;
-  };
-  for (size_t i = 0; i < order.size(); ++i) {
-    const Family& fam = families[i];
-    if (fam.lines.empty()) {
-      continue;
-    }
-    if (!fam.help.empty()) {
-      out += "# HELP " + order[i] + " " + fam.help + "\n";
-    }
-    if (!fam.type.empty()) {
-      out += "# TYPE " + order[i] + " " + fam.type + "\n";
-    }
-    for (const std::string& line : fam.lines) {
-      out += line + "\n";
-    }
-  }
-  // Fleet roll-up: counters are meaningfully summable across processes.
-  for (size_t i = 0; i < order.size(); ++i) {
-    const Family& fam = families[i];
-    if (fam.type != "counter" || fam.sums.empty()) {
-      continue;
-    }
-    const std::string fleet_name =
-        order[i].compare(0, 4, "psp_") == 0
-            ? "psp_fleet_" + order[i].substr(4)
-            : "psp_fleet_" + order[i];
-    out += "# HELP " + fleet_name + " Sum of " + order[i] +
-           " across federated servers.\n";
-    out += "# TYPE " + fleet_name + " counter\n";
-    for (const auto& [labels, sum] : fam.sums) {
-      out += fleet_name;
-      if (!labels.empty()) {
-        out += "{" + labels + "}";
-      }
-      out += " ";
-      append_value(sum, fam.integral);
-      out += "\n";
-    }
-  }
-  out += "# HELP psp_fleet_servers Endpoints merged into this page.\n";
-  out += "# TYPE psp_fleet_servers gauge\n";
-  out += "psp_fleet_servers " + std::to_string(pages.size()) + "\n";
-  out += "psp_up 1\n";
-  return out;
-}
-
 int Emit(const Options& opt, const std::string& body) {
   if (opt.out_file.empty()) {
     std::fwrite(body.data(), 1, body.size(), stdout);
@@ -533,7 +245,7 @@ int main(int argc, char** argv) {
     }
     std::ostringstream ss;
     ss << in.rdbuf();
-    if (const std::string problem = CheckExposition(ss.str());
+    if (const std::string problem = psp::CheckExposition(ss.str());
         !problem.empty()) {
       std::fprintf(stderr, "pspctl: %s: malformed exposition: %s\n",
                    args[1].c_str(), problem.c_str());
@@ -573,9 +285,9 @@ int main(int argc, char** argv) {
       }
       pages.push_back(std::move(body));
     }
-    const std::string merged = FederateMetrics(pages);
+    const std::string merged = psp::FederateMetrics(pages);
     if (opt.check) {
-      if (const std::string problem = CheckExposition(merged);
+      if (const std::string problem = psp::CheckExposition(merged);
           !problem.empty()) {
         std::fprintf(stderr, "pspctl: malformed federated exposition: %s\n",
                      problem.c_str());
@@ -726,7 +438,8 @@ int main(int argc, char** argv) {
     return 3;
   }
   if (opt.check && cmd == "metrics") {
-    if (const std::string problem = CheckExposition(body); !problem.empty()) {
+    if (const std::string problem = psp::CheckExposition(body);
+        !problem.empty()) {
       std::fprintf(stderr, "pspctl: malformed exposition: %s\n",
                    problem.c_str());
       return 4;

@@ -49,7 +49,10 @@
 #                       deadlines at ingress, the loadgen's own client-side
 #                       miss accounting must appear in its --json report and
 #                       the live /metrics page must expose well-formed
-#                       psp_deadline_* families with a nonzero stamped count.
+#                       psp_deadline_* families with a nonzero stamped count,
+#                       name request types only as `type` labels (no family
+#                       name contains SHORT, LONG or UNKNOWN) and carry
+#                       psp_scheduler_type_queue_depth{type="SHORT"}.
 #   all               - all of the above.
 # Usage: scripts/check.sh [address|thread|bench|introspect|fleet|ingress|trace|profile|deadline|all] [build-dir]
 set -eu
@@ -505,7 +508,8 @@ print(f"  loadgen: {report['received']}/{report['sent']} responses, "
 PY
   fi
   # Live scrape while the server still serves: exposition must parse
-  # (--check) and carry the deadline families with real activity.
+  # (--check), carry the deadline families with real activity, and name
+  # every request type as a `type` label, never inside a family name.
   if [ "$rc" = 0 ]; then
     "$build/tools/pspctl" --port "$admin_port" --check \
       --out "$work/metrics.prom" metrics || rc=$?
@@ -515,15 +519,22 @@ PY
 import sys
 stamped = 0.0
 families = set()
+samples = set()
 with open(sys.argv[1]) as f:
     for line in f:
         if line.startswith("#") or not line.strip():
             continue
+        samples.add(line.rsplit(" ", 1)[0])
         name = line.split("{")[0].split(" ")[0]
+        for type_name in ("SHORT", "LONG", "UNKNOWN"):
+            if type_name in name:
+                sys.exit(f"/metrics family {name} embeds type {type_name}")
         if "deadline" in name:
             families.add(name)
         if line.startswith("psp_deadline_stamped_total "):
             stamped = float(line.rsplit(" ", 1)[1])
+if 'psp_scheduler_type_queue_depth{type="SHORT"}' not in samples:
+    sys.exit("/metrics lacks psp_scheduler_type_queue_depth{type=\"SHORT\"}")
 if stamped <= 0:
     sys.exit(f"/metrics shows no stamped deadlines "
              f"(deadline families seen: {sorted(families)})")

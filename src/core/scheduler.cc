@@ -323,7 +323,7 @@ void DarcScheduler::FinishAssignment(Assignment* a, TypeIndex type,
   profiler_.ObserveQueueingDelay(type, now - a->request.arrival);
   if (a->request.deadline > 0) {
     // Dispatch-time slack: positive = time to spare when service starts,
-    // negative = already late. Sum/count render as a Prometheus summary.
+    // negative = already late. Exported as a sum/count gauge pair.
     TypeDeadlineStats& stats = deadline_types_[type];
     stats.slack_sum_nanos.fetch_add(
         static_cast<int64_t>(a->request.deadline - now),
@@ -562,8 +562,8 @@ void DarcScheduler::ExportTelemetry(TelemetrySnapshot* out) const {
 
   // Deadline tier: exported only when the tier is in play, so engines
   // without deadlines keep their exact pre-existing telemetry surface.
-  // The flat counters fold to psp_deadline_*_total in the Prometheus
-  // renderer; the structured per-type records carry the slack summary.
+  // Per-type keys fold to psp_deadline_type_*{type="<name>"} in /metrics;
+  // the slack sum can be negative (dispatches past the deadline).
   const bool deadline_active = config_.deadline.enabled() ||
                                config_.mode == PolicyMode::kEdf ||
                                config_.mode == PolicyMode::kDarcSlack;
@@ -574,16 +574,16 @@ void DarcScheduler::ExportTelemetry(TelemetrySnapshot* out) const {
     out->counters["deadline.met"] += deadline_met();
     for (TypeIndex t = 0; t < names_.size(); ++t) {
       const TypeDeadlineStats& stats = deadline_types_[t];
-      DeadlineTypeStats rec;
-      rec.type = t;
-      rec.name = names_[t];
-      rec.missed = stats.missed.load(std::memory_order_relaxed);
-      rec.shed = stats.shed.load(std::memory_order_relaxed);
-      rec.slack_sum_nanos =
+      const std::string prefix = "deadline.type." + names_[t];
+      out->counters[prefix + ".missed"] +=
+          stats.missed.load(std::memory_order_relaxed);
+      out->counters[prefix + ".shed"] +=
+          stats.shed.load(std::memory_order_relaxed);
+      out->gauges[prefix + ".budget_ns"] = deadline_targets_[t];
+      out->gauges[prefix + ".slack_ns_sum"] =
           stats.slack_sum_nanos.load(std::memory_order_relaxed);
-      rec.slack_samples = stats.slack_samples.load(std::memory_order_relaxed);
-      rec.budget_nanos = deadline_targets_[t];
-      out->deadline_types.push_back(std::move(rec));
+      out->gauges[prefix + ".slack_ns_count"] = static_cast<int64_t>(
+          stats.slack_samples.load(std::memory_order_relaxed));
     }
   }
 }

@@ -288,7 +288,7 @@ class DarcScheduler {
   // dynamically and atomics are immovable). edf_depth/queue_drops stand in
   // for the typed queues' own gauges under kEdf, where all requests share
   // one EDF queue; slack is sampled at dispatch (deadline - now) and
-  // exported as a Prometheus summary's sum/count pair.
+  // exported as the deadline.type.<name>.slack_ns_{sum,count} gauges.
   struct TypeDeadlineStats {
     std::atomic<uint64_t> missed{0};
     std::atomic<uint64_t> shed{0};

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "src/common/json_escape.h"
+#include "src/telemetry/snapshot.h"
 
 namespace psp {
 namespace {
@@ -189,12 +190,8 @@ std::string OutlierRecorder::ToJson(
         out += ',';
       }
       first_type = false;
-      const auto it = type_names.find(type);
-      const std::string name = it != type_names.end()
-                                   ? it->second
-                                   : "type-" + std::to_string(type);
       out += "{\"type\":" + std::to_string(type) + ",\"name\":\"" +
-             JsonEscape(name) + "\",\"outliers\":[";
+             JsonEscape(TypeNameOf(type_names, type)) + "\",\"outliers\":[";
       bool first_entry = true;
       for (const OutlierEntry& e : entries) {
         if (!first_entry) {

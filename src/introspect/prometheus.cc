@@ -7,7 +7,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <initializer_list>
 #include <iterator>
 #include <map>
 #include <set>
@@ -17,21 +16,43 @@
 namespace psp {
 namespace {
 
-// Splits "<prefix><N>.<field>" into (N, field); false for any other shape.
-// Folds indexed instrument names ("worker.3.requests",
-// "ingress.shard.1.rx_datagrams") into one labelled metric per field.
-bool SplitIndexedMetric(const std::string& name, const char* prefix,
+// Indexed instrument names "<prefix><index>.<field>" fold into one
+// "<metric_prefix><field>" family with a {label="<index>"} sample per index.
+// A numeric index is the digits up to the next '.'; a type index is
+// everything up to the last '.', so any request-type name folds whole.
+struct IndexedFamily {
+  const char* prefix;
+  const char* metric_prefix;
+  const char* label;
+  const char* help_suffix;
+  bool numeric = true;
+};
+constexpr IndexedFamily kIndexedFamilies[] = {
+    {"worker.", "psp_worker_", "worker", "per worker"},
+    {"ingress.shard.", "psp_ingress_shard_", "shard", "per socket shard"},
+    {"fleet.server.", "psp_fleet_server_", "server", "per fleet member"},
+    {"scheduler.type.", "psp_scheduler_type_", "type", "per request type",
+     false},
+    {"engine.type.", "psp_engine_type_", "type", "per request type", false},
+    {"deadline.type.", "psp_deadline_type_", "type", "per request type",
+     false},
+};
+constexpr size_t kNumIndexedFamilies = std::size(kIndexedFamilies);
+
+// Splits `name` into (index, field) for `family`; false for any other shape.
+bool SplitIndexedMetric(const std::string& name, const IndexedFamily& family,
                         std::string* index, std::string* field) {
-  const size_t prefix_len = std::strlen(prefix);
-  if (name.compare(0, prefix_len, prefix) != 0) {
+  const size_t prefix_len = std::strlen(family.prefix);
+  if (name.compare(0, prefix_len, family.prefix) != 0) {
     return false;
   }
-  const size_t dot = name.find('.', prefix_len);
-  if (dot == std::string::npos || dot == prefix_len ||
+  const size_t dot =
+      family.numeric ? name.find('.', prefix_len) : name.rfind('.');
+  if (dot == std::string::npos || dot <= prefix_len ||
       dot + 1 >= name.size()) {
     return false;
   }
-  for (size_t i = prefix_len; i < dot; ++i) {
+  for (size_t i = prefix_len; family.numeric && i < dot; ++i) {
     if (!std::isdigit(static_cast<unsigned char>(name[i]))) {
       return false;
     }
@@ -55,11 +76,11 @@ void AppendTypeHeader(std::string* out, const std::string& metric,
   *out += '\n';
 }
 
+using Labels = std::vector<std::pair<const char*, std::string>>;
+
 // One sample line: `name{l1="v1",l2="v2"} v`, or `name v` without labels.
-void AppendSample(
-    std::string* out, const std::string& metric,
-    std::initializer_list<std::pair<const char*, std::string>> labels,
-    const std::string& value) {
+void AppendSample(std::string* out, const std::string& metric,
+                  const Labels& labels, const std::string& value) {
   *out += metric;
   const char* sep = "{";
   for (const auto& [label, label_value] : labels) {
@@ -68,57 +89,64 @@ void AppendSample(
     *out += label;
     *out += "=\"" + PrometheusLabelEscape(label_value) + "\"";
   }
-  *out += labels.size() == 0 ? " " : "} ";
+  *out += labels.empty() ? " " : "} ";
   *out += value;
   *out += '\n';
 }
 
-std::string ResolveTypeName(const TelemetrySnapshot& snap, uint32_t type) {
-  const auto it = snap.type_names.find(type);
-  return it != snap.type_names.end() ? it->second
-                                     : "type-" + std::to_string(type);
+// One instrument's samples: a counter or gauge value...
+template <typename T>
+void AppendInstrument(std::string* out, const std::string& metric,
+                      const Labels& labels, T value) {
+  AppendSample(out, metric, labels, std::to_string(value));
 }
 
-// Indexed instrument names "<prefix><N>.<field>" fold into one
-// "<metric_prefix><field>" family with a {label="N"} sample per index.
-struct IndexedFamily {
-  const char* prefix;
-  const char* metric_prefix;
-  const char* label;
-  const char* help_suffix;
-};
-constexpr IndexedFamily kIndexedFamilies[] = {
-    {"worker.", "psp_worker_", "worker", "per worker"},
-    {"ingress.shard.", "psp_ingress_shard_", "shard", "per socket shard"},
-    {"fleet.server.", "psp_fleet_server_", "server", "per fleet member"},
-};
-constexpr size_t kNumIndexedFamilies = std::size(kIndexedFamilies);
+// ...or a histogram as a quantile summary: p50/p99/p99.9, _sum and _count.
+void AppendInstrument(std::string* out, const std::string& metric,
+                      const Labels& labels, const Histogram& hist) {
+  const struct {
+    const char* q;
+    double p;
+  } quantiles[] = {{"0.5", 50.0}, {"0.99", 99.0}, {"0.999", 99.9}};
+  for (const auto& q : quantiles) {
+    Labels with_quantile = labels;
+    with_quantile.emplace_back("quantile", q.q);
+    AppendSample(out, metric, with_quantile,
+                 std::to_string(hist.Count() > 0 ? hist.Percentile(q.p) : 0));
+  }
+  AppendSample(out, metric + "_sum", labels,
+               FormatDouble(hist.Mean() * static_cast<double>(hist.Count())));
+  AppendSample(out, metric + "_count", labels, std::to_string(hist.Count()));
+}
 
-// Renders a family of scalar instruments, folding indexed names into one
-// labelled metric per field. `suffix` is "_total" for counters.
+// Renders one instrument map as `prom_type` families, folding indexed names
+// into one labelled family per field. `suffix` is "_total" for counters;
+// `help_tail` ends every HELP line.
 template <typename Map>
-void RenderScalars(std::string* out, const Map& values, const char* prom_type,
-                   const char* suffix, const char* source_kind) {
-  // Per indexed family: field -> [(index, value)]. Plain names render
+void RenderFamilies(std::string* out, const Map& values, const char* prom_type,
+                    const char* suffix, const char* source_kind,
+                    const char* help_tail = "") {
+  // Per indexed family: field -> [(index, instrument)]. Plain names render
   // directly in map order.
-  std::map<std::string, std::vector<std::pair<std::string, std::string>>>
+  std::map<std::string,
+           std::vector<std::pair<std::string, const typename Map::mapped_type*>>>
       folded[kNumIndexedFamilies];
   for (const auto& [name, value] : values) {
     std::string index, field;
     size_t f = 0;
     while (f < kNumIndexedFamilies &&
-           !SplitIndexedMetric(name, kIndexedFamilies[f].prefix, &index,
-                               &field)) {
+           !SplitIndexedMetric(name, kIndexedFamilies[f], &index, &field)) {
       ++f;
     }
     if (f < kNumIndexedFamilies) {
-      folded[f][field].emplace_back(index, std::to_string(value));
+      folded[f][field].emplace_back(index, &value);
       continue;
     }
     const std::string metric = "psp_" + PrometheusMetricName(name) + suffix;
     AppendTypeHeader(out, metric, prom_type,
-                     std::string(source_kind) + " \"" + name + "\"");
-    AppendSample(out, metric, {}, std::to_string(value));
+                     std::string(source_kind) + " \"" + name + "\"" +
+                         help_tail);
+    AppendInstrument(out, metric, {}, value);
   }
   for (size_t f = 0; f < kNumIndexedFamilies; ++f) {
     const IndexedFamily& family = kIndexedFamilies[f];
@@ -127,33 +155,18 @@ void RenderScalars(std::string* out, const Map& values, const char* prom_type,
           family.metric_prefix + PrometheusMetricName(field) + suffix;
       AppendTypeHeader(out, metric, prom_type,
                        std::string(source_kind) + " \"" + family.prefix +
-                           "<N>." + field + "\" " + family.help_suffix);
+                           (family.numeric ? "<N>." : "<type>.") + field +
+                           "\" " + family.help_suffix + help_tail);
       for (const auto& [index, value] : samples) {
-        AppendSample(out, metric, {{family.label, index}}, value);
+        AppendInstrument(out, metric, {{family.label, index}}, *value);
       }
     }
   }
 }
 
 void RenderSummaries(std::string* out, const TelemetrySnapshot& snap) {
-  for (const auto& [name, hist] : snap.histograms) {
-    const std::string metric = "psp_" + PrometheusMetricName(name);
-    AppendTypeHeader(out, metric, "summary",
-                     "histogram \"" + name + "\" as quantile summary");
-    const struct {
-      const char* q;
-      double p;
-    } quantiles[] = {{"0.5", 50.0}, {"0.99", 99.0}, {"0.999", 99.9}};
-    for (const auto& q : quantiles) {
-      AppendSample(
-          out, metric, {{"quantile", q.q}},
-          std::to_string(hist.Count() > 0 ? hist.Percentile(q.p) : 0));
-    }
-    *out += metric + "_sum " +
-            FormatDouble(hist.Mean() * static_cast<double>(hist.Count())) +
-            '\n';
-    *out += metric + "_count " + std::to_string(hist.Count()) + '\n';
-  }
+  RenderFamilies(out, snap.histograms, "summary", "", "histogram",
+                 " as quantile summary");
 }
 
 // The latest closed time-series interval: per-type windowed gauges (the
@@ -187,91 +200,26 @@ void RenderLatestInterval(std::string* out, const TelemetrySnapshot& snap) {
     AppendSample(out, s.metric, {}, s.value);
   }
 
-  struct TypeMetric {
-    const char* metric;
-    const char* help;
-    int64_t (*value)(const TypeIntervalStats&);
-    bool skip_negative;
-    // Render the family only when some type has a non-zero value (used by
-    // the deadline families so deadline-free engines keep their exact
-    // pre-existing scrape output).
-    bool skip_if_all_zero = false;
-  };
-  const TypeMetric type_metrics[] = {
-      {"psp_type_interval_arrivals", "arrivals in the latest interval",
-       [](const TypeIntervalStats& t) {
-         return static_cast<int64_t>(t.arrivals);
-       },
-       false},
-      {"psp_type_interval_completions", "completions in the latest interval",
-       [](const TypeIntervalStats& t) {
-         return static_cast<int64_t>(t.completions);
-       },
-       false},
-      {"psp_type_interval_drops", "flow-control drops in the latest interval",
-       [](const TypeIntervalStats& t) {
-         return static_cast<int64_t>(t.drops);
-       },
-       false},
-      {"psp_type_interval_slo_violations",
-       "SLO violations in the latest interval",
-       [](const TypeIntervalStats& t) {
-         return static_cast<int64_t>(t.slo_violations);
-       },
-       false},
-      {"psp_deadline_type_interval_misses",
-       "deadline misses in the latest interval",
-       [](const TypeIntervalStats& t) {
-         return static_cast<int64_t>(t.deadline_misses);
-       },
-       false, /*skip_if_all_zero=*/true},
-      {"psp_deadline_type_interval_sheds",
-       "admission-control sheds in the latest interval",
-       [](const TypeIntervalStats& t) {
-         return static_cast<int64_t>(t.deadline_sheds);
-       },
-       false, /*skip_if_all_zero=*/true},
-      {"psp_type_queue_depth",
-       "typed-queue depth sampled at the latest interval close",
-       [](const TypeIntervalStats& t) { return t.queue_depth; }, true},
-      {"psp_type_reserved_workers",
-       "DARC reserved-core share sampled at the latest interval close",
-       [](const TypeIntervalStats& t) { return t.reserved_workers; }, true},
-      {"psp_type_slowdown_p50_milli",
-       "windowed p50 slowdown, milli units (1000 = 1.0x)",
-       [](const TypeIntervalStats& t) { return t.slowdown_p50_milli; }, false},
-      {"psp_type_slowdown_p99_milli",
-       "windowed p99 slowdown, milli units (1000 = 1.0x)",
-       [](const TypeIntervalStats& t) { return t.slowdown_p99_milli; }, false},
-      {"psp_type_slowdown_p999_milli",
-       "windowed p99.9 slowdown, milli units (1000 = 1.0x)",
-       [](const TypeIntervalStats& t) { return t.slowdown_p999_milli; },
-       false},
-  };
-  for (const TypeMetric& m : type_metrics) {
-    if (m.skip_if_all_zero) {
-      bool any_nonzero = false;
-      for (const TypeIntervalStats& t : rec.types) {
-        if (m.value(t) != 0) {
-          any_nonzero = true;
-          break;
-        }
-      }
-      if (!any_nonzero) {
-        continue;
-      }
+  for (const TypeIntervalField& field : TypeIntervalFields()) {
+    if (field.skip_if_all_zero &&
+        std::none_of(rec.types.begin(), rec.types.end(),
+                     [&](const TypeIntervalStats& t) {
+                       return field.value(t) != 0;
+                     })) {
+      continue;
     }
     bool any = false;
     for (const TypeIntervalStats& t : rec.types) {
-      if (m.skip_negative && m.value(t) < 0) {
+      if (field.skip_negative && field.value(t) < 0) {
         continue;
       }
       if (!any) {
-        AppendTypeHeader(out, m.metric, "gauge", m.help);
+        AppendTypeHeader(out, field.metric, "gauge", field.help);
         any = true;
       }
-      AppendSample(out, m.metric, {{"type", ResolveTypeName(snap, t.type)}},
-                   std::to_string(m.value(t)));
+      AppendInstrument(out, field.metric,
+                       {{"type", TypeNameOf(snap.type_names, t.type)}},
+                       field.value(t));
     }
   }
 
@@ -297,58 +245,6 @@ void RenderLatestInterval(std::string* out, const TelemetrySnapshot& snap) {
           {{"state", WorkerTimeStateName(static_cast<WorkerTimeState>(s))}},
           std::to_string(rec.worker_state_permille[s]));
     }
-  }
-}
-
-// Deadline-tier per-type families (the scheduler exports these only when the
-// deadline tier is in play, so deadline-free engines render nothing here).
-// The flat totals (psp_deadline_stamped_total etc.) come out of the generic
-// counter renderer; this adds the per-type split and the dispatch-time slack
-// distribution as a Prometheus summary (sum + count, no quantiles — slack is
-// tracked as a race-free atomic pair, not a histogram).
-void RenderDeadline(std::string* out, const TelemetrySnapshot& snap) {
-  if (snap.deadline_types.empty()) {
-    return;
-  }
-  const struct {
-    const char* metric;
-    const char* prom_type;
-    const char* help;
-    int64_t (*value)(const DeadlineTypeStats&);
-  } families[] = {
-      {"psp_deadline_type_missed_total", "counter",
-       "completions past their deadline, per type",
-       [](const DeadlineTypeStats& d) {
-         return static_cast<int64_t>(d.missed);
-       }},
-      {"psp_deadline_type_shed_total", "counter",
-       "admission-control sheds (predicted deadline misses), per type",
-       [](const DeadlineTypeStats& d) {
-         return static_cast<int64_t>(d.shed);
-       }},
-      {"psp_deadline_type_budget_ns", "gauge",
-       "resolved relative deadline budget, per type (0 = no deadline)",
-       [](const DeadlineTypeStats& d) { return d.budget_nanos; }},
-  };
-  for (const auto& f : families) {
-    AppendTypeHeader(out, f.metric, f.prom_type, f.help);
-    for (const DeadlineTypeStats& d : snap.deadline_types) {
-      AppendSample(
-          out, f.metric,
-          {{"type", d.name.empty() ? ResolveTypeName(snap, d.type) : d.name}},
-          std::to_string(f.value(d)));
-    }
-  }
-  AppendTypeHeader(out, "psp_deadline_type_slack_ns", "summary",
-                   "dispatch-time slack (deadline - dispatch), per type; "
-                   "negative sums mean dispatches past the deadline");
-  for (const DeadlineTypeStats& d : snap.deadline_types) {
-    const std::string type_name =
-        d.name.empty() ? ResolveTypeName(snap, d.type) : d.name;
-    AppendSample(out, "psp_deadline_type_slack_ns_sum", {{"type", type_name}},
-                 std::to_string(d.slack_sum_nanos));
-    AppendSample(out, "psp_deadline_type_slack_ns_count",
-                 {{"type", type_name}}, std::to_string(d.slack_samples));
   }
 }
 
@@ -591,11 +487,10 @@ std::string PrometheusLabelEscape(const std::string& value) {
 std::string RenderPrometheusText(const TelemetrySnapshot& snapshot) {
   std::string out;
   out.reserve(8192);
-  RenderScalars(&out, snapshot.counters, "counter", "_total", "counter");
-  RenderScalars(&out, snapshot.gauges, "gauge", "", "gauge");
+  RenderFamilies(&out, snapshot.counters, "counter", "_total", "counter");
+  RenderFamilies(&out, snapshot.gauges, "gauge", "", "gauge");
   RenderSummaries(&out, snapshot);
   RenderLatestInterval(&out, snapshot);
-  RenderDeadline(&out, snapshot);
   RenderWorkerTime(&out, snapshot);
   // Always-present marker so a scrape of an idle server is still non-empty
   // and scrapers can assert liveness.
@@ -705,8 +600,8 @@ std::string RenderFleetPrometheusText(
                    "inter-server dispatch policy (info-style: value is "
                    "always 1)");
   AppendSample(&head, "psp_fleet_policy", {{"policy", policy}}, "1");
-  RenderScalars(&head, counters, "counter", "_total", "counter");
-  RenderScalars(&head, gauges, "gauge", "", "gauge");
+  RenderFamilies(&head, counters, "counter", "_total", "counter");
+  RenderFamilies(&head, gauges, "gauge", "", "gauge");
 
   std::vector<std::string> pages;
   pages.reserve(servers.size());

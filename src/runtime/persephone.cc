@@ -156,7 +156,6 @@ Persephone::Persephone(RuntimeConfig config) : config_(std::move(config)) {
   if (telemetry_->timeseries() != nullptr) {
     series_slots_.push_back(
         telemetry_->RegisterSeries(scheduler_->unknown_type(), "UNKNOWN"));
-    ts_prev_state_.resize(config_.num_workers);
     telemetry_->timeseries()->set_gauge_sampler(
         [this](IntervalRecord* rec) { SampleTimeSeriesGauges(rec); });
     telemetry_->set_flight_snapshot_provider(
@@ -790,41 +789,11 @@ void Persephone::SampleTimeSeriesGauges(IntervalRecord* rec) {
     stats.queue_depth = static_cast<int64_t>(scheduler_->queue_depth(type));
     stats.reserved_workers = scheduler_->reserved_workers_of(type);
   }
-  // Interval worker occupancy, derived from the time ledger: per-worker
-  // busy+steal share, plus the aggregate per-state decomposition across all
-  // workers (permille of summed worker wall time in this interval).
-  rec->worker_busy_permille.resize(config_.num_workers, 0);
-  rec->worker_state_permille.assign(kNumWorkerTimeStates, 0);
-  const Nanos now = TscClock::Global().Now();
-  const std::vector<WorkerTimeRecord> totals =
-      time_ledger_.SnapshotTotals(now, nullptr);
-  std::array<uint64_t, kNumWorkerTimeStates> interval_sum{};
-  uint64_t wall_sum = 0;
-  for (uint32_t w = 0; w < config_.num_workers && w < totals.size(); ++w) {
-    std::array<uint64_t, kNumWorkerTimeStates>& prev = ts_prev_state_[w];
-    uint64_t wall = 0;
-    uint64_t busy = 0;
-    for (size_t s = 0; s < kNumWorkerTimeStates; ++s) {
-      const uint64_t current = totals[w].state_ns[s];
-      const uint64_t delta = current >= prev[s] ? current - prev[s] : 0;
-      prev[s] = current;
-      wall += delta;
-      interval_sum[s] += delta;
-      if (s == static_cast<size_t>(WorkerTimeState::kBusy) ||
-          s == static_cast<size_t>(WorkerTimeState::kSteal)) {
-        busy += delta;
-      }
-    }
-    wall_sum += wall;
-    rec->worker_busy_permille[w] =
-        wall > 0 ? static_cast<int64_t>(busy * 1000 / wall) : 0;
-  }
-  if (wall_sum > 0) {
-    for (size_t s = 0; s < kNumWorkerTimeStates; ++s) {
-      rec->worker_state_permille[s] =
-          static_cast<int64_t>(interval_sum[s] * 1000 / wall_sum);
-    }
-  }
+  // Interval worker occupancy, derived from the time ledger.
+  IntervalOccupancy(
+      time_ledger_.SnapshotTotals(TscClock::Global().Now(), nullptr),
+      config_.num_workers, &ts_prev_state_, &rec->worker_busy_permille,
+      &rec->worker_state_permille);
 }
 
 void Persephone::WorkerLoop(uint32_t worker_id) {

@@ -365,40 +365,8 @@ void ClusterEngine::SampleWorkerTimeGauges(IntervalRecord* rec) {
   }
   // Workers only: the dispatcher pseudo-slot (last record) is not a worker
   // core and would skew the fleet-of-workers shares.
-  const size_t workers = records.size() - 1;
-  if (ts_prev_state_.size() < workers) {
-    ts_prev_state_.resize(workers);
-  }
-  rec->worker_busy_permille.assign(workers, 0);
-  std::array<uint64_t, kNumWorkerTimeStates> delta_sum{};
-  uint64_t wall_sum = 0;
-  for (size_t w = 0; w < workers; ++w) {
-    uint64_t wall = 0;
-    std::array<uint64_t, kNumWorkerTimeStates> delta{};
-    for (size_t s = 0; s < kNumWorkerTimeStates; ++s) {
-      const uint64_t cur = records[w].state_ns[s];
-      const uint64_t prev = ts_prev_state_[w][s];
-      delta[s] = cur > prev ? cur - prev : 0;
-      ts_prev_state_[w][s] = cur;
-      wall += delta[s];
-      delta_sum[s] += delta[s];
-    }
-    wall_sum += wall;
-    if (wall > 0) {
-      const uint64_t busy =
-          delta[static_cast<size_t>(WorkerTimeState::kBusy)] +
-          delta[static_cast<size_t>(WorkerTimeState::kSteal)];
-      rec->worker_busy_permille[w] =
-          static_cast<int64_t>(busy * 1000 / wall);
-    }
-  }
-  rec->worker_state_permille.assign(kNumWorkerTimeStates, 0);
-  if (wall_sum > 0) {
-    for (size_t s = 0; s < kNumWorkerTimeStates; ++s) {
-      rec->worker_state_permille[s] =
-          static_cast<int64_t>(delta_sum[s] * 1000 / wall_sum);
-    }
-  }
+  IntervalOccupancy(records, records.size() - 1, &ts_prev_state_,
+                    &rec->worker_busy_permille, &rec->worker_state_permille);
 }
 
 void ClusterEngine::DropRequest(SimRequest* request) {

@@ -35,7 +35,64 @@ void AppendSpanRow(std::string* out, const char* label, const Histogram& h) {
   *out += buf;
 }
 
+template <auto Member>
+int64_t FieldOf(const TypeIntervalStats& t) {
+  return static_cast<int64_t>(t.*Member);
+}
+
+constexpr TypeIntervalField kTypeIntervalFields[] = {
+    {"arrivals", "psp_type_interval_arrivals",
+     "arrivals in the latest interval", &FieldOf<&TypeIntervalStats::arrivals>},
+    {"completions", "psp_type_interval_completions",
+     "completions in the latest interval",
+     &FieldOf<&TypeIntervalStats::completions>},
+    {"drops", "psp_type_interval_drops",
+     "flow-control drops in the latest interval",
+     &FieldOf<&TypeIntervalStats::drops>},
+    {"slo_violations", "psp_type_interval_slo_violations",
+     "SLO violations in the latest interval",
+     &FieldOf<&TypeIntervalStats::slo_violations>},
+    {"deadline_misses", "psp_deadline_type_interval_misses",
+     "deadline misses in the latest interval",
+     &FieldOf<&TypeIntervalStats::deadline_misses>,
+     /*skip_negative=*/false, /*skip_if_all_zero=*/true},
+    {"deadline_sheds", "psp_deadline_type_interval_sheds",
+     "admission-control sheds in the latest interval",
+     &FieldOf<&TypeIntervalStats::deadline_sheds>,
+     /*skip_negative=*/false, /*skip_if_all_zero=*/true},
+    {"queue_depth", "psp_type_queue_depth",
+     "typed-queue depth sampled at the latest interval close",
+     &FieldOf<&TypeIntervalStats::queue_depth>, /*skip_negative=*/true},
+    {"reserved_workers", "psp_type_reserved_workers",
+     "DARC reserved-core share sampled at the latest interval close",
+     &FieldOf<&TypeIntervalStats::reserved_workers>,
+     /*skip_negative=*/true},
+    {"slowdown_samples", "psp_type_slowdown_samples",
+     "completions sampled into the windowed slowdown histogram in the "
+     "latest interval",
+     &FieldOf<&TypeIntervalStats::slowdown_samples>},
+    {"slowdown_p50_milli", "psp_type_slowdown_p50_milli",
+     "windowed p50 slowdown, milli units (1000 = 1.0x)",
+     &FieldOf<&TypeIntervalStats::slowdown_p50_milli>},
+    {"slowdown_p99_milli", "psp_type_slowdown_p99_milli",
+     "windowed p99 slowdown, milli units (1000 = 1.0x)",
+     &FieldOf<&TypeIntervalStats::slowdown_p99_milli>},
+    {"slowdown_p999_milli", "psp_type_slowdown_p999_milli",
+     "windowed p99.9 slowdown, milli units (1000 = 1.0x)",
+     &FieldOf<&TypeIntervalStats::slowdown_p999_milli>},
+};
+
 }  // namespace
+
+std::span<const TypeIntervalField> TypeIntervalFields() {
+  return kTypeIntervalFields;
+}
+
+std::string TypeNameOf(const std::map<uint32_t, std::string>& type_names,
+                       uint32_t type) {
+  const auto it = type_names.find(type);
+  return it != type_names.end() ? it->second : "type-" + std::to_string(type);
+}
 
 uint64_t TelemetrySnapshot::counter(const std::string& name,
                                     uint64_t fallback) const {
@@ -71,8 +128,6 @@ void TelemetrySnapshot::Merge(const TelemetrySnapshot& other) {
   }
   worker_time.insert(worker_time.end(), other.worker_time.begin(),
                      other.worker_time.end());
-  deadline_types.insert(deadline_types.end(), other.deadline_types.begin(),
-                        other.deadline_types.end());
 }
 
 std::map<uint32_t, TypeStageBreakdown> TelemetrySnapshot::StageBreakdown()
@@ -81,26 +136,12 @@ std::map<uint32_t, TypeStageBreakdown> TelemetrySnapshot::StageBreakdown()
   for (const RequestTrace& t : traces) {
     TypeStageBreakdown& b = by_type[t.type];
     if (b.traces == 0) {
-      const auto it = type_names.find(t.type);
-      b.name = it != type_names.end() ? it->second
-                                      : "type-" + std::to_string(t.type);
+      b.name = TypeNameOf(type_names, t.type);
     }
     ++b.traces;
-    const struct {
-      Histogram* hist;
-      TraceStage from;
-      TraceStage to;
-    } spans[] = {
-        {&b.preprocess, TraceStage::kRx, TraceStage::kEnqueued},
-        {&b.queueing, TraceStage::kEnqueued, TraceStage::kDispatched},
-        {&b.handoff, TraceStage::kDispatched, TraceStage::kHandlerStart},
-        {&b.service, TraceStage::kHandlerStart, TraceStage::kHandlerEnd},
-        {&b.reply, TraceStage::kHandlerEnd, TraceStage::kTx},
-        {&b.total, TraceStage::kRx, TraceStage::kTx},
-    };
-    for (const auto& span : spans) {
+    for (const StageSpan& span : kStageSpans) {
       if (t.At(span.from) != 0 && t.At(span.to) != 0) {
-        span.hist->Add(t.Span(span.from, span.to));
+        (b.*span.hist).Add(t.Span(span.from, span.to));
       }
     }
   }
@@ -214,27 +255,14 @@ std::string TelemetrySnapshot::ToJson() const {
         out += ',';
       }
       first_type = false;
-      const auto it = type_names.find(t.type);
-      const std::string name = it != type_names.end()
-                                   ? it->second
-                                   : "type-" + std::to_string(t.type);
       out += "{\"type\":" + std::to_string(t.type) + ",\"name\":\"" +
-             JsonEscape(name) + "\",\"arrivals\":" +
-             std::to_string(t.arrivals) +
-             ",\"completions\":" + std::to_string(t.completions) +
-             ",\"drops\":" + std::to_string(t.drops) +
-             ",\"slo_violations\":" + std::to_string(t.slo_violations) +
-             ",\"deadline_misses\":" + std::to_string(t.deadline_misses) +
-             ",\"deadline_sheds\":" + std::to_string(t.deadline_sheds) +
-             ",\"queue_depth\":" + std::to_string(t.queue_depth) +
-             ",\"reserved_workers\":" + std::to_string(t.reserved_workers) +
-             ",\"slowdown_samples\":" + std::to_string(t.slowdown_samples) +
-             ",\"slowdown_p50_milli\":" +
-             std::to_string(t.slowdown_p50_milli) +
-             ",\"slowdown_p99_milli\":" +
-             std::to_string(t.slowdown_p99_milli) +
-             ",\"slowdown_p999_milli\":" +
-             std::to_string(t.slowdown_p999_milli) + '}';
+             JsonEscape(TypeNameOf(type_names, t.type)) + '"';
+      for (const TypeIntervalField& field : kTypeIntervalFields) {
+        out += ",\"";
+        out += field.key;
+        out += "\":" + std::to_string(field.value(t));
+      }
+      out += '}';
     }
     out += "],\"worker_busy_permille\":[";
     bool first_worker = true;
@@ -278,20 +306,6 @@ std::string TelemetrySnapshot::ToJson() const {
     }
     out += "]}";
   }
-  out += "],\"deadline_types\":[";
-  first = true;
-  for (const DeadlineTypeStats& d : deadline_types) {
-    if (!first) {
-      out += ',';
-    }
-    first = false;
-    out += "{\"type\":" + std::to_string(d.type) + ",\"name\":\"" +
-           JsonEscape(d.name) + "\",\"missed\":" + std::to_string(d.missed) +
-           ",\"shed\":" + std::to_string(d.shed) +
-           ",\"slack_sum_nanos\":" + std::to_string(d.slack_sum_nanos) +
-           ",\"slack_samples\":" + std::to_string(d.slack_samples) +
-           ",\"budget_nanos\":" + std::to_string(d.budget_nanos) + '}';
-  }
   out += "],\"stage_breakdown\":{";
   first = true;
   for (const auto& [type, b] : StageBreakdown()) {
@@ -301,17 +315,11 @@ std::string TelemetrySnapshot::ToJson() const {
     first = false;
     out += '"' + JsonEscape(b.name) + "\":{\"traces\":" +
            std::to_string(b.traces);
-    const struct {
-      const char* label;
-      const Histogram* hist;
-    } spans[] = {{"preprocess", &b.preprocess}, {"queueing", &b.queueing},
-                 {"handoff", &b.handoff},       {"service", &b.service},
-                 {"reply", &b.reply},           {"total", &b.total}};
-    for (const auto& span : spans) {
+    for (const StageSpan& span : kStageSpans) {
       out += ",\"";
       out += span.label;
       out += "\":";
-      AppendHistogramJson(&out, *span.hist);
+      AppendHistogramJson(&out, b.*span.hist);
     }
     out += '}';
   }
@@ -360,12 +368,9 @@ std::string TelemetrySnapshot::StageReport() const {
     std::snprintf(buf, sizeof(buf), "  %s (%llu traces)\n", b.name.c_str(),
                   static_cast<unsigned long long>(b.traces));
     out += buf;
-    AppendSpanRow(&out, "preprocess", b.preprocess);
-    AppendSpanRow(&out, "queueing", b.queueing);
-    AppendSpanRow(&out, "handoff", b.handoff);
-    AppendSpanRow(&out, "service", b.service);
-    AppendSpanRow(&out, "reply", b.reply);
-    AppendSpanRow(&out, "total", b.total);
+    for (const StageSpan& span : kStageSpans) {
+      AppendSpanRow(&out, span.label, b.*span.hist);
+    }
   }
   return out;
 }

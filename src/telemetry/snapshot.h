@@ -12,6 +12,7 @@
 
 #include <cstdint>
 #include <map>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -68,6 +69,23 @@ struct TypeIntervalStats {
   int64_t slowdown_p999_milli = 0;
 };
 
+// One TypeIntervalStats field, declared once for every exporter: `key` is
+// its snapshot-JSON key and CSV column, `metric` its /metrics gauge family.
+// /metrics omits a type's -1 sentinel when `skip_negative` (the engine gave
+// no sampler) and the whole family when `skip_if_all_zero` and every type
+// reads 0 (deadline-free engines keep their scrape).
+struct TypeIntervalField {
+  const char* key;
+  const char* metric;
+  const char* help;
+  int64_t (*value)(const TypeIntervalStats&);
+  bool skip_negative = false;
+  bool skip_if_all_zero = false;
+};
+
+// Every TypeIntervalStats field but `type`, in JSON and CSV column order.
+std::span<const TypeIntervalField> TypeIntervalFields();
+
 // One closed interval of the time-series recorder.
 struct IntervalRecord {
   uint64_t seq = 0;  // 0-based, monotonically increasing across the run
@@ -86,22 +104,6 @@ struct IntervalRecord {
   // WorkerTimeState and summed across all worker slots, in permille of
   // aggregate wall time; empty when the engine has no ledger.
   std::vector<int64_t> worker_state_permille;
-};
-
-// Per-type deadline-tier totals exported by the scheduler (src/sched/):
-// cumulative misses and admission-control sheds, plus the dispatch-time
-// slack distribution as a sum/count pair (renders as a Prometheus summary).
-// slack_sum_nanos can be negative — dispatches past the deadline contribute
-// negative slack. budget_nanos is the type's resolved relative budget
-// (0 = no deadline configured for the type).
-struct DeadlineTypeStats {
-  uint32_t type = 0;  // engine type key, resolvable via type_names
-  std::string name;
-  uint64_t missed = 0;
-  uint64_t shed = 0;
-  int64_t slack_sum_nanos = 0;
-  uint64_t slack_samples = 0;
-  int64_t budget_nanos = 0;
 };
 
 // Per-type latency decomposition derived from the sampled lifecycle traces.
@@ -123,6 +125,31 @@ struct TypeStageBreakdown {
   Histogram total;  // rx → tx
 };
 
+// The TypeStageBreakdown spans in report order, for every exporter.
+struct StageSpan {
+  const char* label;
+  TraceStage from;
+  TraceStage to;
+  Histogram TypeStageBreakdown::*hist;
+};
+inline constexpr StageSpan kStageSpans[] = {
+    {"preprocess", TraceStage::kRx, TraceStage::kEnqueued,
+     &TypeStageBreakdown::preprocess},
+    {"queueing", TraceStage::kEnqueued, TraceStage::kDispatched,
+     &TypeStageBreakdown::queueing},
+    {"handoff", TraceStage::kDispatched, TraceStage::kHandlerStart,
+     &TypeStageBreakdown::handoff},
+    {"service", TraceStage::kHandlerStart, TraceStage::kHandlerEnd,
+     &TypeStageBreakdown::service},
+    {"reply", TraceStage::kHandlerEnd, TraceStage::kTx,
+     &TypeStageBreakdown::reply},
+    {"total", TraceStage::kRx, TraceStage::kTx, &TypeStageBreakdown::total},
+};
+
+// The registered name of trace type key `type`, or "type-N" when unnamed.
+std::string TypeNameOf(const std::map<uint32_t, std::string>& type_names,
+                       uint32_t type);
+
 struct TelemetrySnapshot {
   // Monotonic counts, hierarchically named ("scheduler.dispatched").
   std::map<std::string, uint64_t> counters;
@@ -139,8 +166,6 @@ struct TelemetrySnapshot {
   std::vector<IntervalRecord> timeseries;
   // Structured DARC reservation updates in application order.
   std::vector<ReservationUpdate> reservation_updates;
-  // Deadline-tier per-type totals; empty when the deadline tier is off.
-  std::vector<DeadlineTypeStats> deadline_types;
   // Maps RequestTrace::type keys to human-readable names.
   std::map<uint32_t, std::string> type_names;
   // Cumulative worker time-provenance totals (one record per worker slot

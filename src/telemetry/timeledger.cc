@@ -27,6 +27,46 @@ const char* WorkerTimeStateName(WorkerTimeState state) {
   return "unknown";
 }
 
+void IntervalOccupancy(
+    const std::vector<WorkerTimeRecord>& totals, size_t workers,
+    std::vector<std::array<uint64_t, kNumWorkerTimeStates>>* prev,
+    std::vector<int64_t>* busy_permille,
+    std::vector<int64_t>* state_permille) {
+  busy_permille->assign(workers, 0);
+  state_permille->assign(kNumWorkerTimeStates, 0);
+  if (prev->size() < workers) {
+    prev->resize(workers);
+  }
+  std::array<uint64_t, kNumWorkerTimeStates> state_sum{};
+  uint64_t wall_sum = 0;
+  for (size_t w = 0; w < workers && w < totals.size(); ++w) {
+    uint64_t wall = 0;
+    uint64_t busy = 0;
+    for (size_t s = 0; s < kNumWorkerTimeStates; ++s) {
+      const uint64_t current = totals[w].state_ns[s];
+      uint64_t& last = (*prev)[w][s];
+      const uint64_t delta = current > last ? current - last : 0;
+      last = current;
+      wall += delta;
+      state_sum[s] += delta;
+      if (s == static_cast<size_t>(WorkerTimeState::kBusy) ||
+          s == static_cast<size_t>(WorkerTimeState::kSteal)) {
+        busy += delta;
+      }
+    }
+    wall_sum += wall;
+    if (wall > 0) {
+      (*busy_permille)[w] = static_cast<int64_t>(busy * 1000 / wall);
+    }
+  }
+  if (wall_sum > 0) {
+    for (size_t s = 0; s < kNumWorkerTimeStates; ++s) {
+      (*state_permille)[s] =
+          static_cast<int64_t>(state_sum[s] * 1000 / wall_sum);
+    }
+  }
+}
+
 WorkerTimeLedger::WorkerTimeLedger()
     : capacity_(kLedgerCapacity), slots_(new Slot[kLedgerCapacity]) {}
 

@@ -71,6 +71,17 @@ struct WorkerTimeRecord {
   bool operator==(const WorkerTimeRecord&) const = default;
 };
 
+// Interval occupancy from ledger totals. Over worker slots [0, workers) it
+// takes each slot's per-state delta since `prev` (the slot's totals at the
+// previous interval close, updated in place and grown as needed) and writes
+// each worker's busy+steal permille of its interval wall time to
+// `busy_permille` and the per-state permille of the summed worker wall time
+// to `state_permille`. Shares of slots without wall time read 0.
+void IntervalOccupancy(
+    const std::vector<WorkerTimeRecord>& totals, size_t workers,
+    std::vector<std::array<uint64_t, kNumWorkerTimeStates>>* prev,
+    std::vector<int64_t>* busy_permille, std::vector<int64_t>* state_permille);
+
 class WorkerTimeLedger {
  public:
   // Per-slot typed-busy resolution is capped: types registered past this

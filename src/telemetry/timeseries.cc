@@ -273,13 +273,22 @@ std::string TimeSeriesRecorder::ToCsv() const {
 
 std::string IntervalsToCsv(const std::vector<IntervalRecord>& intervals,
                            const std::map<uint32_t, std::string>& type_names) {
-  std::string out =
-      "seq,start_ns,end_ns,type,name,arrivals,completions,drops,"
-      "slo_violations,queue_depth,reserved_workers,slowdown_samples,"
-      "slowdown_p50_milli,slowdown_p99_milli,slowdown_p999_milli,"
-      "interval_reservation_updates,arrival_rps,completion_rps,"
+  std::string out = "seq,start_ns,end_ns,type,name";
+  for (const TypeIntervalField& field : TypeIntervalFields()) {
+    out += ',';
+    out += field.key;
+  }
+  out +=
+      ",interval_reservation_updates,arrival_rps,completion_rps,"
       "worker_busy_permille\n";
   for (const IntervalRecord& rec : intervals) {
+    const std::string head = std::to_string(rec.seq) + ',' +
+                             std::to_string(rec.start) + ',' +
+                             std::to_string(rec.end) + ',';
+    char tail[128];
+    std::snprintf(tail, sizeof(tail), ",%llu,%.1f,%.1f,",
+                  static_cast<unsigned long long>(rec.reservation_updates),
+                  rec.arrival_rate_rps, rec.completion_rate_rps);
     std::string busy;
     for (size_t w = 0; w < rec.worker_busy_permille.size(); ++w) {
       if (w > 0) {
@@ -288,30 +297,12 @@ std::string IntervalsToCsv(const std::vector<IntervalRecord>& intervals,
       busy += std::to_string(rec.worker_busy_permille[w]);
     }
     for (const TypeIntervalStats& t : rec.types) {
-      const auto it = type_names.find(t.type);
-      const std::string name = it != type_names.end()
-                                   ? it->second
-                                   : "type-" + std::to_string(t.type);
-      char buf[512];
-      std::snprintf(
-          buf, sizeof(buf),
-          "%llu,%lld,%lld,%u,%s,%llu,%llu,%llu,%llu,%lld,%lld,%llu,%lld,"
-          "%lld,%lld,%llu,%.1f,%.1f,%s\n",
-          static_cast<unsigned long long>(rec.seq),
-          static_cast<long long>(rec.start), static_cast<long long>(rec.end),
-          t.type, name.c_str(), static_cast<unsigned long long>(t.arrivals),
-          static_cast<unsigned long long>(t.completions),
-          static_cast<unsigned long long>(t.drops),
-          static_cast<unsigned long long>(t.slo_violations),
-          static_cast<long long>(t.queue_depth),
-          static_cast<long long>(t.reserved_workers),
-          static_cast<unsigned long long>(t.slowdown_samples),
-          static_cast<long long>(t.slowdown_p50_milli),
-          static_cast<long long>(t.slowdown_p99_milli),
-          static_cast<long long>(t.slowdown_p999_milli),
-          static_cast<unsigned long long>(rec.reservation_updates),
-          rec.arrival_rate_rps, rec.completion_rate_rps, busy.c_str());
-      out += buf;
+      out += head + std::to_string(t.type) + ',' +
+             TypeNameOf(type_names, t.type);
+      for (const TypeIntervalField& field : TypeIntervalFields()) {
+        out += ',' + std::to_string(field.value(t));
+      }
+      out += tail + busy + '\n';
     }
   }
   return out;

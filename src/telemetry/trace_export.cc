@@ -18,12 +18,6 @@ struct PendingEvent {
   std::string tail;
 };
 
-std::string TypeName(const TelemetrySnapshot& snap, uint32_t type) {
-  const auto it = snap.type_names.find(type);
-  return it != snap.type_names.end() ? it->second
-                                     : "type-" + std::to_string(type);
-}
-
 double ToMicros(Nanos at, Nanos origin) {
   // Events stamped before the origin (e.g. a pre-run annotation at 0 while
   // the runtime clock is TSC-based) clamp to 0 so no track goes backwards.
@@ -81,31 +75,24 @@ std::string ExportCatapultTrace(const TelemetrySnapshot& snapshot,
 
     const Nanos start = t.At(TraceStage::kHandlerStart);
     const Nanos end = t.At(TraceStage::kHandlerEnd);
-    const std::string name = TypeName(snapshot, t.type);
+    const std::string name = TypeNameOf(snapshot.type_names, t.type);
     if (start > 0 && end >= start) {
       // Service slice on the worker's track, with the stage decomposition
-      // (matching snapshot.h's TypeStageBreakdown spans) as args.
+      // (snapshot.h's kStageSpans) as args.
       std::snprintf(
           buf, sizeof(buf),
           ",\"dur\":%.3f,\"ph\":\"X\",\"pid\":%u,\"tid\":%u,\"name\":\"%s\","
-          "\"cat\":\"request\",\"args\":{\"request_id\":%llu,\"type\":%u,"
-          "\"preprocess_ns\":%lld,\"queueing_ns\":%lld,\"handoff_ns\":%lld,"
-          "\"service_ns\":%lld,\"reply_ns\":%lld,\"total_ns\":%lld}}",
+          "\"cat\":\"request\",\"args\":{\"request_id\":%llu,\"type\":%u",
           static_cast<double>(end - start) / 1000.0, pid, 1 + t.worker,
           JsonEscape(name).c_str(),
-          static_cast<unsigned long long>(t.request_id), t.type,
-          static_cast<long long>(
-              t.Span(TraceStage::kRx, TraceStage::kEnqueued)),
-          static_cast<long long>(
-              t.Span(TraceStage::kEnqueued, TraceStage::kDispatched)),
-          static_cast<long long>(
-              t.Span(TraceStage::kDispatched, TraceStage::kHandlerStart)),
-          static_cast<long long>(
-              t.Span(TraceStage::kHandlerStart, TraceStage::kHandlerEnd)),
-          static_cast<long long>(
-              t.Span(TraceStage::kHandlerEnd, TraceStage::kTx)),
-          static_cast<long long>(t.Span(TraceStage::kRx, TraceStage::kTx)));
-      events.push_back(PendingEvent{start, 1, buf});
+          static_cast<unsigned long long>(t.request_id), t.type);
+      std::string tail = buf;
+      for (const StageSpan& span : kStageSpans) {
+        tail += ",\"";
+        tail += span.label;
+        tail += "_ns\":" + std::to_string(t.Span(span.from, span.to));
+      }
+      events.push_back(PendingEvent{start, 1, tail + "}}"});
     }
 
     if (options.include_async_spans) {
@@ -152,7 +139,7 @@ std::string ExportCatapultTrace(const TelemetrySnapshot& snapshot,
     for (const IntervalRecord& r : snapshot.timeseries) {
       for (const TypeIntervalStats& t : r.types) {
         const std::string name =
-            JsonEscape(TypeName(snapshot, t.type));
+            JsonEscape(TypeNameOf(snapshot.type_names, t.type));
         if (t.queue_depth >= 0) {
           std::snprintf(buf, sizeof(buf),
                         ",\"ph\":\"C\",\"pid\":%u,\"tid\":0,"

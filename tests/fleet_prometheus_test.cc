@@ -89,12 +89,19 @@ void ExpectFederatedFleetPage(const FleetSnapshot& snap) {
   }
   EXPECT_TRUE(line_set.count("psp_fleet_num_servers 2"));
 
-  // Exact rack-wide histogram rollups sit in each summary family's block.
+  // Exact rack-wide histogram rollups sit in each summary family's block;
+  // per-type engine.type.<T>.x folds to psp_engine_type_x{type="<T>"}.
   for (const auto& [name, hist] : snap.Merged().histograms) {
-    EXPECT_TRUE(line_set.count("psp_" + PrometheusMetricName(name) +
-                               "_count{server=\"merged\"} " +
-                               std::to_string(hist.Count())))
-        << name;
+    const size_t field = name.rfind('.') + 1;
+    const std::string series =
+        name.compare(0, 12, "engine.type.") == 0
+            ? "psp_engine_type_" + name.substr(field) +
+                  "_count{server=\"merged\",type=\"" +
+                  name.substr(12, field - 13) + "\"}"
+            : "psp_" + PrometheusMetricName(name) +
+                  "_count{server=\"merged\"}";
+    EXPECT_TRUE(line_set.count(series + " " + std::to_string(hist.Count())))
+        << series;
   }
 
   EXPECT_EQ(page.find("psp_fleet_fleet_"), std::string::npos);

@@ -166,32 +166,27 @@ TEST(Prometheus, SimEngineGoldenFormat) {
 }
 
 // Golden-format contract for the deadline-tier families: flat totals render
-// through the generic counter path, the per-type split folds into a type
-// label, and dispatch-time slack comes out as a summary (sum/count pair,
-// negative sums allowed). Deadline-free snapshots render none of it.
+// through the generic counter path, the per-type deadline.type.<name>.* keys
+// fold into a type label, and dispatch-time slack comes out as a sum/count
+// gauge pair (negative sums allowed). Deadline-free snapshots render none of
+// it.
 TEST(Prometheus, DeadlineFamiliesGoldenFormat) {
   TelemetrySnapshot snap;
   snap.counters["deadline.stamped"] = 900;
   snap.counters["deadline.missed"] = 12;
   snap.counters["deadline.met"] = 888;
   snap.counters["deadline.shed"] = 5;
-  DeadlineTypeStats short_type;
-  short_type.type = 1;
-  short_type.name = "SHORT";
-  short_type.missed = 2;
-  short_type.shed = 0;
-  short_type.slack_sum_nanos = 123456;
-  short_type.slack_samples = 450;
-  short_type.budget_nanos = 20000;
-  DeadlineTypeStats long_type;
-  long_type.type = 2;
-  long_type.name = "LONG";
-  long_type.missed = 10;
-  long_type.shed = 5;
-  long_type.slack_sum_nanos = -789;  // dispatches past the deadline
-  long_type.slack_samples = 440;
-  long_type.budget_nanos = 150000;
-  snap.deadline_types = {short_type, long_type};
+  snap.counters["deadline.type.SHORT.missed"] = 2;
+  snap.counters["deadline.type.SHORT.shed"] = 0;
+  snap.gauges["deadline.type.SHORT.slack_ns_sum"] = 123456;
+  snap.gauges["deadline.type.SHORT.slack_ns_count"] = 450;
+  snap.gauges["deadline.type.SHORT.budget_ns"] = 20000;
+  snap.counters["deadline.type.LONG.missed"] = 10;
+  snap.counters["deadline.type.LONG.shed"] = 5;
+  // Dispatches past the deadline.
+  snap.gauges["deadline.type.LONG.slack_ns_sum"] = -789;
+  snap.gauges["deadline.type.LONG.slack_ns_count"] = 440;
+  snap.gauges["deadline.type.LONG.budget_ns"] = 150000;
 
   const std::string text = RenderPrometheusText(snap);
 
@@ -216,8 +211,11 @@ TEST(Prometheus, DeadlineFamiliesGoldenFormat) {
   EXPECT_TRUE(
       Contains(text, "psp_deadline_type_budget_ns{type=\"SHORT\"} 20000\n"));
 
-  // Slack summary: per-type sum/count, negative sums render as-is.
-  EXPECT_TRUE(Contains(text, "# TYPE psp_deadline_type_slack_ns summary\n"));
+  // Slack gauges: per-type sum/count, negative sums render as-is.
+  EXPECT_TRUE(
+      Contains(text, "# TYPE psp_deadline_type_slack_ns_sum gauge\n"));
+  EXPECT_TRUE(
+      Contains(text, "# TYPE psp_deadline_type_slack_ns_count gauge\n"));
   EXPECT_TRUE(Contains(
       text, "psp_deadline_type_slack_ns_sum{type=\"SHORT\"} 123456\n"));
   EXPECT_TRUE(Contains(

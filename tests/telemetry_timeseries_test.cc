@@ -210,7 +210,8 @@ TEST(TimeSeriesRecorder, CsvSchemaIsStable) {
   ASSERT_TRUE(std::getline(lines, header));
   EXPECT_EQ(header,
             "seq,start_ns,end_ns,type,name,arrivals,completions,drops,"
-            "slo_violations,queue_depth,reserved_workers,slowdown_samples,"
+            "slo_violations,deadline_misses,deadline_sheds,queue_depth,"
+            "reserved_workers,slowdown_samples,"
             "slowdown_p50_milli,slowdown_p99_milli,slowdown_p999_milli,"
             "interval_reservation_updates,arrival_rps,completion_rps,"
             "worker_busy_permille");

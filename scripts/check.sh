@@ -53,8 +53,14 @@
 #                       name request types only as `type` labels (no family
 #                       name contains SHORT, LONG or UNKNOWN) and carry
 #                       psp_scheduler_type_queue_depth{type="SHORT"}.
+#   e2e               - frozen end-to-end benchmark (bench/e2e, declared in
+#                       BENCHMARK.json): configure it fresh in a mktemp -d
+#                       build directory, build psp_e2e and psp_e2e_server and
+#                       run its e2e_smoke ctest. A src/ change that breaks
+#                       the benchmark's build, its metric names or its
+#                       server's thread-pinning check fails here.
 #   all               - all of the above.
-# Usage: scripts/check.sh [address|thread|bench|introspect|fleet|ingress|trace|profile|deadline|all] [build-dir]
+# Usage: scripts/check.sh [address|thread|bench|introspect|fleet|ingress|trace|profile|deadline|e2e|all] [build-dir]
 set -eu
 MODE=${1:-address}
 ROOT="$(cd "$(dirname "$0")/.." && pwd)"
@@ -555,6 +561,25 @@ PY
   echo "deadline smoke OK (udp $udp_port, admin $admin_port)"
 }
 
+# End-to-end benchmark smoke: bench/e2e is its own CMake package compiling
+# ../../src, so it is configured from scratch (as the benchmark itself is run
+# from a fresh checkout) rather than reusing a repository build tree.
+run_e2e() {
+  local build
+  build=$(mktemp -d)
+  local rc=0
+  { cmake -S bench/e2e -B "$build" -DCMAKE_BUILD_TYPE=Release >/dev/null &&
+    cmake --build "$build" -j "$(nproc)" --target psp_e2e psp_e2e_server &&
+    ctest --test-dir "$build" --output-on-failure --no-tests=error \
+      -R '^e2e_smoke$'; } || rc=$?
+  rm -rf "$build"
+  if [ "$rc" != 0 ]; then
+    echo "e2e smoke FAILED (rc=$rc)" >&2
+    return 1
+  fi
+  echo "e2e smoke OK"
+}
+
 run_bench() {
   local build=${1:-build-bench}
   # Smoke windows: short enough for CI, still runs every gate. The report
@@ -573,9 +598,10 @@ case "$MODE" in
   profile) run_profile "${2:-build}" ;;
   trace)   run_trace "${2:-build}" ;;
   deadline) run_deadline "${2:-build}" ;;
+  e2e)     run_e2e ;;
   all)     run_address build-asan; run_thread build-tsan; run_fleet build;
            run_ingress build; run_profile build; run_trace build;
-           run_deadline build; run_bench build-bench ;;
-  *) echo "usage: scripts/check.sh [address|thread|bench|introspect|fleet|ingress|trace|profile|deadline|all] [build-dir]" >&2
+           run_deadline build; run_e2e; run_bench build-bench ;;
+  *) echo "usage: scripts/check.sh [address|thread|bench|introspect|fleet|ingress|trace|profile|deadline|e2e|all] [build-dir]" >&2
      exit 2 ;;
 esac

@@ -6,6 +6,7 @@
 #ifndef PSP_SRC_CORE_TYPED_QUEUE_H_
 #define PSP_SRC_CORE_TYPED_QUEUE_H_
 
+#include <algorithm>
 #include <atomic>
 #include <cstddef>
 #include <vector>
@@ -18,13 +19,21 @@ namespace psp {
 // relaxed atomics only so cross-thread introspection (telemetry snapshots,
 // the time-series gauge sampler) reads them race-free. Single-writer
 // load+store increments keep the hot path at plain-store cost (no RMW).
+//
+// The ring starts at min(capacity, 64) slots and doubles when full, up to
+// `capacity`, so a queue that never backs up never touches (or zero-fills)
+// the storage its flow-control bound would allow. Only the scheduling thread
+// touches the slots, so growth needs no synchronisation.
 class TypedQueue {
  public:
   explicit TypedQueue(size_t capacity = 4096)
-      : capacity_(capacity), slots_(capacity) {}
+      : capacity_(capacity),
+        ring_size_(std::min(capacity, kInitialSlots)),
+        slots_(ring_size_) {}
 
   TypedQueue(TypedQueue&& other) noexcept
       : capacity_(other.capacity_),
+        ring_size_(other.ring_size_),
         slots_(std::move(other.slots_)),
         head_(other.head_),
         tail_(other.tail_) {
@@ -37,8 +46,7 @@ class TypedQueue {
   // Returns false (and counts a drop) when the queue is full.
   bool Push(const Request& request) {
     const size_t size = size_.load(std::memory_order_relaxed);
-    if (size == capacity_) {
-      CountDrop();
+    if (size == ring_size_ && !GrowOrDrop()) {
       return false;
     }
     slots_[tail_] = request;
@@ -51,8 +59,7 @@ class TypedQueue {
   // enqueue preempted work "at the head of their respective queue", §5.1).
   bool PushFront(const Request& request) {
     const size_t size = size_.load(std::memory_order_relaxed);
-    if (size == capacity_) {
-      CountDrop();
+    if (size == ring_size_ && !GrowOrDrop()) {
       return false;
     }
     head_ = Prev(head_);
@@ -79,14 +86,27 @@ class TypedQueue {
   size_t capacity() const { return capacity_; }
   uint64_t drops() const { return drops_.load(std::memory_order_relaxed); }
 
-  // Queueing delay of the head request at `now`; 0 when empty.
-  Nanos HeadDelay(Nanos now) const {
-    return Empty() ? 0 : now - slots_[head_].arrival;
-  }
-
  private:
-  size_t Next(size_t i) const { return i + 1 == capacity_ ? 0 : i + 1; }
-  size_t Prev(size_t i) const { return i == 0 ? capacity_ - 1 : i - 1; }
+  static constexpr size_t kInitialSlots = 64;
+
+  size_t Next(size_t i) const { return i + 1 == ring_size_ ? 0 : i + 1; }
+  size_t Prev(size_t i) const { return i == 0 ? ring_size_ - 1 : i - 1; }
+
+  // Called with the ring full. At `capacity` this is the §4.3.3 drop
+  // (returns false); below it the ring doubles, re-linearised head->tail so
+  // the existing requests keep their FIFO order.
+  bool GrowOrDrop() {
+    if (ring_size_ == capacity_) {
+      CountDrop();
+      return false;
+    }
+    std::rotate(slots_.begin(), slots_.begin() + head_, slots_.end());
+    head_ = 0;
+    tail_ = ring_size_;
+    ring_size_ = std::min(capacity_, 2 * ring_size_);
+    slots_.resize(ring_size_);
+    return true;
+  }
 
   void CountDrop() {
     drops_.store(drops_.load(std::memory_order_relaxed) + 1,
@@ -94,6 +114,7 @@ class TypedQueue {
   }
 
   size_t capacity_;
+  size_t ring_size_;  // allocated slots, <= capacity_
   std::vector<Request> slots_;
   size_t head_ = 0;
   size_t tail_ = 0;

@@ -725,9 +725,11 @@ void Persephone::IngestPacket(const PacketRef& packet, Nanos now,
   // The client's in-band sampling election forces a lifecycle record (the
   // distributed-tracing join needs exactly these requests); local 1-in-N
   // sampling still ticks independently so server-only visibility survives
-  // clients that never set the bit.
+  // clients that never set the bit. A server configured without tracing
+  // has no rings, so it ignores the flag.
   const bool wire_sampled =
-      (parsed->psp.trace_flags & PspHeader::kFlagTraceSampled) != 0;
+      (parsed->psp.trace_flags & PspHeader::kFlagTraceSampled) != 0 &&
+      config_.telemetry.enable_tracing;
   if (sampler->Tick() || wire_sampled) {
     request.trace.sampled = 1;
     // The NIC's hardware-style stamp captures RX-queue wait; fall back to

@@ -62,14 +62,18 @@ std::string TelemetryConfig::Validate() const {
 Telemetry::Telemetry(TelemetryConfig config, size_t num_rings)
     : config_(config) {
   live_sample_every_.store(config_.sample_every, std::memory_order_relaxed);
-  if (num_rings == 0) {
-    num_rings = 1;
-  }
-  const size_t capacity =
-      config_.trace_ring_capacity > 0 ? config_.trace_ring_capacity : 1;
-  rings_.reserve(num_rings);
-  for (size_t i = 0; i < num_rings; ++i) {
-    rings_.push_back(std::make_unique<TraceRing>(capacity));
+  // Untraced engines never commit a record, so they get no rings at all
+  // (a ring's slots are allocated and zero-filled up front).
+  if (config_.enable_tracing) {
+    if (num_rings == 0) {
+      num_rings = 1;
+    }
+    const size_t capacity =
+        config_.trace_ring_capacity > 0 ? config_.trace_ring_capacity : 1;
+    rings_.reserve(num_rings);
+    for (size_t i = 0; i < num_rings; ++i) {
+      rings_.push_back(std::make_unique<TraceRing>(capacity));
+    }
   }
   if (config_.timeseries.enabled) {
     timeseries_ = std::make_unique<TimeSeriesRecorder>(config_.timeseries);

@@ -100,7 +100,8 @@ struct TelemetryConfig {
   bool enable_tracing = true;
   // Trace 1 in N requests; 0 disables tracing, 1 traces everything.
   uint32_t sample_every = 64;
-  // Records retained per thread ring (rounded up to a power of two).
+  // Records retained per thread ring (rounded up to a power of two). Unused
+  // when enable_tracing is false: untraced engines allocate no rings.
   size_t trace_ring_capacity = 4096;
   // Continuous windowed time-series (off by default; see timeseries.h).
   TimeSeriesConfig timeseries;
@@ -116,6 +117,7 @@ class Telemetry {
  public:
   // `num_rings` = number of producer threads that will commit traces
   // (workers in the threaded runtime; 1 for the single-threaded simulator).
+  // With enable_tracing false no ring is allocated (num_rings() == 0).
   explicit Telemetry(TelemetryConfig config = {}, size_t num_rings = 1);
 
   Telemetry(const Telemetry&) = delete;

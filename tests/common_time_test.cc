@@ -3,6 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <limits>
 #include <thread>
 
 namespace psp {
@@ -26,20 +29,48 @@ TEST(TscClock, MonotonicNow) {
   }
 }
 
+// A (steady_clock, TscClock) pair read inside the narrowest of a few
+// steady_clock brackets, so a preemption between the reads is discarded.
+struct ClockPair {
+  Nanos wall = 0;
+  Nanos tsc = 0;
+};
+
+ClockPair BracketedPair(const TscClock& clock) {
+  const auto steady_ns = [] {
+    return std::chrono::duration_cast<std::chrono::nanoseconds>(
+               std::chrono::steady_clock::now().time_since_epoch())
+        .count();
+  };
+  ClockPair best;
+  Nanos best_width = std::numeric_limits<Nanos>::max();
+  for (int i = 0; i < 5; ++i) {
+    const Nanos before = steady_ns();
+    const Nanos tsc = clock.Now();
+    const Nanos width = steady_ns() - before;
+    if (width < best_width) {
+      best_width = width;
+      best = {before + width / 2, tsc};
+    }
+  }
+  return best;
+}
+
 TEST(TscClock, TracksWallClockWithinTolerance) {
   const TscClock& clock = TscClock::Global();
-  const Nanos t0 = clock.Now();
-  const auto wall0 = std::chrono::steady_clock::now();
-  std::this_thread::sleep_for(std::chrono::milliseconds(50));
-  const Nanos elapsed_tsc = clock.Now() - t0;
-  const auto elapsed_wall =
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now() - wall0)
-          .count();
-  // Within 10% of wall time (generous for noisy CI machines).
-  EXPECT_NEAR(static_cast<double>(elapsed_tsc),
-              static_cast<double>(elapsed_wall),
-              0.1 * static_cast<double>(elapsed_wall));
+  // Within 0.1% of steady_clock over >= 100 ms; the best of 3 attempts, so
+  // one descheduled read cannot fail the test.
+  double best_error = 1.0;
+  for (int attempt = 0; attempt < 3 && best_error >= 1e-3; ++attempt) {
+    const ClockPair start = BracketedPair(clock);
+    std::this_thread::sleep_for(std::chrono::milliseconds(100));
+    const ClockPair end = BracketedPair(clock);
+    const double wall = static_cast<double>(end.wall - start.wall);
+    const double tsc = static_cast<double>(end.tsc - start.tsc);
+    ASSERT_GE(wall, 100.0 * kMillisecond);
+    best_error = std::min(best_error, std::abs(tsc - wall) / wall);
+  }
+  EXPECT_LT(best_error, 1e-3);
 }
 
 TEST(TscClock, CycleConversionsRoundTrip) {

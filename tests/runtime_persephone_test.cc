@@ -332,6 +332,60 @@ TEST(Runtime, TelemetrySamplingThinsTraces) {
   EXPECT_LE(snap.counter("telemetry.traces_recorded"), 30u);
 }
 
+TEST(Runtime, TracingOffIgnoresWireTraceFlag) {
+  // A server configured without tracing allocates no trace rings, so a
+  // client's in-band sampling election must not force a lifecycle record.
+  RuntimeConfig config = SmallRuntime();
+  config.telemetry.enable_tracing = false;
+  Persephone server(config);
+  EXPECT_EQ(server.telemetry().num_rings(), 0u);
+  server.RegisterType(1, "T", MakeSpinHandler(), FromMicros(1), 1.0);
+  server.Start();
+
+  constexpr uint64_t kRequests = 200;
+  const TscClock& clock = TscClock::Global();
+  const Nanos deadline = clock.Now() + 5 * kSecond;
+  uint64_t sent = 0;
+  uint64_t echoed = 0;
+  while (echoed < kRequests && clock.Now() < deadline) {
+    if (sent < kRequests) {
+      std::byte* buf = server.pool().AllocGlobal();
+      ASSERT_NE(buf, nullptr);
+      RequestFrame frame;
+      frame.flow = FlowTuple{0x0A000001u, 0x0A0000FFu, 4000, 6789};
+      frame.request_type = 1;
+      frame.request_id = sent;
+      frame.client_id = 1;
+      frame.trace_flags = PspHeader::kFlagTraceSampled;
+      const uint32_t len =
+          BuildRequestPacket(frame, buf, server.pool().buffer_size());
+      ASSERT_GT(len, 0u);
+      ASSERT_TRUE(server.nic().DeliverToQueue(0, PacketRef{buf, len}));
+      ++sent;
+    }
+    PacketRef response;
+    if (!server.nic().PollEgress(&response)) {
+      std::this_thread::yield();
+      continue;
+    }
+    const auto parsed = ParseRequestPacket(response.data, response.length);
+    ASSERT_TRUE(parsed.has_value());
+    EXPECT_EQ(parsed->psp.request_type, 1u);
+    EXPECT_LT(parsed->psp.request_id, kRequests);
+    EXPECT_EQ(parsed->psp.trace_flags, PspHeader::kFlagTraceSampled);
+    server.pool().FreeGlobal(response.data);
+    ++echoed;
+  }
+  server.Stop();
+
+  EXPECT_EQ(echoed, kRequests);
+  const TelemetrySnapshot snap = server.telemetry_snapshot();
+  EXPECT_TRUE(snap.traces.empty());
+  EXPECT_EQ(snap.counter("telemetry.traces_recorded"), 0u);
+  EXPECT_EQ(server.scheduler().completed(), kRequests);
+  EXPECT_EQ(server.pool().AvailableApprox(), server.pool().num_buffers());
+}
+
 TEST(Runtime, TimeSeriesRecorderAndSloOnLiveRuntime) {
   // The continuous layer on the threaded runtime: the sampler thread closes
   // intervals while the dispatcher records, the gauge hook stamps worker

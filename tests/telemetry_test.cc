@@ -238,9 +238,12 @@ TEST(Telemetry, FacadeSnapshotsRingsEventsAndRegistry) {
 TEST(Telemetry, DisabledTracingReportsSampleEveryZero) {
   TelemetryConfig config;
   config.enable_tracing = false;
-  Telemetry telemetry(config);
+  config.trace_ring_capacity = 1 << 15;  // unused without tracing
+  Telemetry telemetry(config, /*num_rings=*/4);
   EXPECT_FALSE(telemetry.tracing_enabled());
   EXPECT_EQ(telemetry.sample_every(), 0u);
+  EXPECT_EQ(telemetry.num_rings(), 0u);  // nothing can commit a record
+  EXPECT_TRUE(telemetry.Snapshot().traces.empty());
 }
 
 TEST(Validation, TelemetryConfig) {

@@ -1,17 +1,17 @@
 // Shared harness for the paper-figure benchmarks: system presets calibrated
-// per DESIGN.md §5, load sweeps, and aligned table / CSV output.
+// per DESIGN.md §5, load sweeps, and aligned table / CSV output. The fleet
+// and deadline figures' configurations live here too, so the ordering tests
+// (tests/bench_policy_order_test.cc) run exactly the figures' gated points.
 //
 // Environment knobs (all optional):
 //   PSP_BENCH_DURATION_MS  sending window per point (default 250)
 //   PSP_BENCH_CSV          "1" = emit CSV instead of aligned tables
-//   PSP_BENCH_JSON         "1" = emit a JSON array of row objects (wins over
-//                          CSV; consumed by scripts/bench_report.sh)
 //   PSP_BENCH_SEED         RNG seed (default 42)
 #ifndef PSP_BENCH_BENCH_UTIL_H_
 #define PSP_BENCH_BENCH_UTIL_H_
 
+#include <algorithm>
 #include <array>
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -19,7 +19,7 @@
 #include <string>
 #include <vector>
 
-#include "src/common/json_escape.h"
+#include "src/fleet/fleet_sim.h"
 #include "src/sim/cluster.h"
 #include "src/sim/policies/c_fcfs.h"
 #include "src/sim/policies/d_fcfs.h"
@@ -44,11 +44,6 @@ inline uint64_t BenchSeed() {
 
 inline bool CsvMode() {
   const char* env = std::getenv("PSP_BENCH_CSV");
-  return env != nullptr && std::strcmp(env, "1") == 0;
-}
-
-inline bool JsonMode() {
-  const char* env = std::getenv("PSP_BENCH_JSON");
   return env != nullptr && std::strcmp(env, "1") == 0;
 }
 
@@ -148,6 +143,58 @@ inline std::unique_ptr<SchedulingPolicy> MakeShinjuku(
   return std::make_unique<TimeSharingPolicy>(o);
 }
 
+// --- Fleet and deadline figure points -------------------------------------
+
+// fig_fleet_policies: N DARC servers of this many workers behind one rack
+// dispatcher.
+inline constexpr uint32_t kFleetWorkersPerServer = 8;
+
+// One fig_fleet_policies point: `servers` servers at `load` of the fleet's
+// peak rate. Each server's pipeline is calibrated like the testbed model; the
+// rack hop (client -> dispatcher) carries the 5 us one-way, the dispatcher ->
+// server hop is the intra-rack 1 us.
+inline FleetSimConfig FleetConfig(const WorkloadSpec& workload,
+                                  uint32_t servers, double load,
+                                  FleetPolicyKind kind) {
+  FleetSimConfig config;
+  config.num_servers = servers;
+  config.server.num_workers = kFleetWorkersPerServer;
+  config.server.net_one_way = kMicrosecond;
+  config.server.dispatch_cost = 100;
+  config.server.completion_cost = 40;
+  config.net_one_way = 5 * kMicrosecond;
+  config.dispatch_cost = 50;
+  config.rate_rps = load * static_cast<double>(servers) *
+                    workload.PeakLoadRps(kFleetWorkersPerServer);
+  config.duration = BenchDuration();
+  config.seed = BenchSeed();
+  config.policy = FleetPolicyConfig::Default(kind);
+  return config;
+}
+
+// fig_deadline: the 14-worker testbed model.
+inline constexpr uint32_t kDeadlineWorkers = 14;
+
+inline ClusterConfig DeadlineTestbedConfig(const WorkloadSpec& workload,
+                                           double load) {
+  return TestbedConfig(kDeadlineWorkers,
+                       load * workload.PeakLoadRps(kDeadlineWorkers));
+}
+
+// fig_deadline's per-type budgets: max(20 µs, 1.4 × mean), a loose floor for
+// short types and a tight bound for long ones. Derived from the workload
+// alone.
+inline DeadlineConfig BudgetsFor(const WorkloadSpec& workload) {
+  DeadlineConfig config;
+  for (const auto& t : workload.AllTypes()) {
+    DeadlineTarget target;
+    target.type_name = t.name;
+    target.budget = FromMicros(std::max(20.0, 1.4 * t.mean_us));
+    config.targets.push_back(target);
+  }
+  return config;
+}
+
 // --- Sweeps -------------------------------------------------------------------
 
 // Default load fractions for throughput-vs-slowdown curves.
@@ -241,10 +288,6 @@ class Table {
   void AddRow(std::vector<std::string> cells) { rows_.push_back(std::move(cells)); }
 
   void Print() const {
-    if (JsonMode()) {
-      std::printf("%s\n", ToJson().c_str());
-      return;
-    }
     if (CsvMode()) {
       PrintCsv();
       return;
@@ -269,44 +312,7 @@ class Table {
     }
   }
 
-  // Machine-readable form: a JSON array of row objects keyed by header.
-  // Cells that parse fully as numbers are emitted as JSON numbers so
-  // downstream tooling (scripts/bench_report.sh) needs no re-parsing.
-  std::string ToJson() const {
-    std::string out = "[";
-    for (size_t r = 0; r < rows_.size(); ++r) {
-      out += r == 0 ? "\n  {" : ",\n  {";
-      for (size_t i = 0; i < rows_[r].size() && i < headers_.size(); ++i) {
-        if (i > 0) {
-          out += ", ";
-        }
-        out += '"';
-        out += JsonEscape(headers_[i]);
-        out += "\": ";
-        out += JsonValue(rows_[r][i]);
-      }
-      out += '}';
-    }
-    out += rows_.empty() ? "]" : "\n]";
-    return out;
-  }
-
  private:
-  static std::string JsonValue(const std::string& cell) {
-    if (!cell.empty()) {
-      char* end = nullptr;
-      const double v = std::strtod(cell.c_str(), &end);
-      // Whole cell parses and is finite ("inf"/"nan" are not valid JSON).
-      if (end == cell.c_str() + cell.size() && std::isfinite(v)) {
-        return cell;
-      }
-    }
-    std::string quoted = "\"";
-    quoted += JsonEscape(cell);
-    quoted += '"';
-    return quoted;
-  }
-
   void PrintCsv() const {
     const auto emit = [](const std::vector<std::string>& row) {
       for (size_t i = 0; i < row.size(); ++i) {

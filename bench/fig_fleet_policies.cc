@@ -8,8 +8,10 @@
 // Expected shape (mirrors the load-balancing literature): the depth-aware
 // policies (po2c, shortest-q) beat the oblivious ones (random, rss) at high
 // load because heavy-tailed service times make per-server queue depth wildly
-// uneven; round-robin sits between. The headline the report gates on: po2c
-// p99.9 <= random p99.9 at 70% fleet load.
+// uneven; round-robin sits between. The ordering that
+// tests/bench_policy_order_test.cc gates on this figure's own configuration
+// (bench_util.h's FleetConfig): po2c p99.9 <= random p99.9 at 70% fleet load,
+// for every (workload, servers) point.
 #include <cstdio>
 
 #include "bench/bench_util.h"
@@ -19,31 +21,8 @@ namespace psp {
 namespace bench {
 namespace {
 
-constexpr uint32_t kWorkersPerServer = 8;
-
-FleetSimConfig FleetConfig(uint32_t servers, double rate,
-                           FleetPolicyKind kind) {
-  FleetSimConfig config;
-  config.num_servers = servers;
-  config.server.num_workers = kWorkersPerServer;
-  // Per-server pipeline calibrated like the testbed model; the rack hop
-  // (client -> dispatcher) carries the 5 us one-way, the dispatcher ->
-  // server hop is the intra-rack 1 us.
-  config.server.net_one_way = kMicrosecond;
-  config.server.dispatch_cost = 100;
-  config.server.completion_cost = 40;
-  config.net_one_way = 5 * kMicrosecond;
-  config.dispatch_cost = 50;
-  config.rate_rps = rate;
-  config.duration = BenchDuration();
-  config.seed = BenchSeed();
-  config.policy = FleetPolicyConfig::Default(kind);
-  return config;
-}
-
 void SweepWorkload(const char* workload_name, const WorkloadSpec& workload,
                    Table* table) {
-  const double peak = workload.PeakLoadRps(kWorkersPerServer);
   const std::vector<uint32_t> fleets = {2, 4, 8};
   const std::vector<double> loads = {0.5, 0.7, 0.85};
   const std::vector<FleetPolicyKind> policies = {
@@ -57,9 +36,9 @@ void SweepWorkload(const char* workload_name, const WorkloadSpec& workload,
 
   for (const uint32_t servers : fleets) {
     for (const double load : loads) {
-      const double rate = load * static_cast<double>(servers) * peak;
       for (const FleetPolicyKind kind : policies) {
-        FleetSimulation fleet(workload, FleetConfig(servers, rate, kind),
+        FleetSimulation fleet(workload,
+                              FleetConfig(workload, servers, load, kind),
                               [](uint32_t) { return MakeDarc(); });
         fleet.Run();
         const double p999 = fleet.metrics().OverallSlowdown(99.9);
@@ -104,7 +83,7 @@ void SweepWorkload(const char* workload_name, const WorkloadSpec& workload,
 void Main() {
   std::printf("Fleet policies: %u-worker DARC servers behind a rack "
               "dispatcher (5us client hop, 1us rack hop)\n\n",
-              kWorkersPerServer);
+              kFleetWorkersPerServer);
   Table table({"workload", "servers", "load", "policy", "p999_slowdown",
                "achieved_kRPS", "drops", "busy_pct", "steal_pct",
                "reserved_idle_pct", "free_idle_pct", "sum_pct"});

@@ -6,9 +6,7 @@
 // noise the same way micro_telemetry's min-of-batches is). Acceptance: the
 // scraped p99 stays within 5% of baseline.
 //
-// Env: PSP_BENCH_REQUESTS (per round, default 20000), PSP_BENCH_ROUNDS
-// (default 5), PSP_BENCH_JSON=1 (emit a JSON result line for
-// scripts/bench_report.sh).
+// `scripts/check.sh bench` runs it and fails on any non-zero exit.
 // Exit codes: 0 ok, 1 gate breach, 2 operational failure (no scrapes landed
 // or malformed exposition).
 #include <arpa/inet.h>
@@ -21,7 +19,6 @@
 #include <chrono>
 #include <cinttypes>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <thread>
 
@@ -32,12 +29,8 @@
 namespace psp {
 namespace {
 
-uint64_t EnvOr(const char* name, uint64_t fallback) {
-  const char* value = std::getenv(name);
-  return value != nullptr && *value != '\0'
-             ? std::strtoull(value, nullptr, 10)
-             : fallback;
-}
+constexpr uint64_t kRequests = 20000;  // per round
+constexpr int kRounds = 5;             // per variant
 
 // Minimal blocking GET against the loopback admin port; returns the body or
 // "" on failure.
@@ -72,10 +65,6 @@ std::string ScrapeMetrics(uint16_t port) {
 }
 
 int Main() {
-  const uint64_t requests = EnvOr("PSP_BENCH_REQUESTS", 20000);
-  const int rounds = static_cast<int>(EnvOr("PSP_BENCH_ROUNDS", 5));
-  const bool json = EnvOr("PSP_BENCH_JSON", 0) != 0;
-
   RuntimeConfig config;
   config.num_workers = 2;
   config.telemetry.sample_every = 64;
@@ -114,7 +103,7 @@ int Main() {
     armed.store(scraped, std::memory_order_release);
     LoadGenConfig lg;
     lg.rate_rps = 20000;
-    lg.total_requests = requests;
+    lg.total_requests = kRequests;
     lg.seed = seed;
     LoadGenerator gen(&server, {MakeSpinSpec(1, "SPIN", 1.0, FromMicros(5))},
                       lg);
@@ -128,7 +117,7 @@ int Main() {
 
   double base_p99 = 1e18;
   double scraped_p99 = 1e18;
-  for (int round = 0; round < rounds; ++round) {
+  for (int round = 0; round < kRounds; ++round) {
     base_p99 = std::min(base_p99,
                         run_round(false, 100 + static_cast<uint64_t>(round)));
     scraped_p99 = std::min(
@@ -145,18 +134,12 @@ int Main() {
 
   std::printf("# scrape-under-load, %d rounds x %" PRIu64
               " requests per variant, 10 Hz GET /metrics\n",
-              rounds, requests);
+              kRounds, kRequests);
   std::printf("%-24s %10.0f ns\n", "p99 (scraper idle)", base_p99);
   std::printf("%-24s %10.0f ns  (delta %+.2f%%)\n", "p99 (10 Hz scrape)",
               scraped_p99, delta_pct);
   std::printf("%-24s %10" PRIu64 " ok, %" PRIu64 " failed\n", "scrapes",
               total_scrapes, failed);
-  if (json) {
-    std::printf("{\"p99_base_nanos\":%.0f,\"p99_scraped_nanos\":%.0f,"
-                "\"delta_pct\":%.3f,\"scrapes\":%" PRIu64
-                ",\"bad_scrapes\":%" PRIu64 "}\n",
-                base_p99, scraped_p99, delta_pct, total_scrapes, failed);
-  }
 
   if (total_scrapes == 0 || failed > 0) {
     std::printf("scrape-check: FAIL (%" PRIu64 " ok, %" PRIu64 " failed)\n",

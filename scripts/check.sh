@@ -6,13 +6,13 @@
 #                       the concurrency-bearing tests: the threaded runtime
 #                       (dispatcher + workers + the telemetry sampler thread),
 #                       channels, rings, NIC and the telemetry subsystem.
-#   bench             - tier-2: benchmark trajectory harness in smoke mode
-#                       (scripts/bench_report.sh --smoke): schema and
-#                       zero-allocation gates (including the timer-wheel
-#                       cascade-stress path) are fatal, speedup gates —
-#                       3x at 256-4096 plus the 16384 floor — are advisory
-#                       at smoke windows. Every stage prints its wall-clock
-#                       seconds so the fleet-sweep speedup is visible in CI.
+#   bench             - tier-2: Release build of the self-gating benches,
+#                       each run at its defaults, any non-zero exit fatal:
+#                       micro_sim_engine (paired speedup over the legacy
+#                       engine, zero allocations per event), micro_introspect
+#                       (client latency under a 10 Hz /metrics scrape) and
+#                       micro_profiler (99 Hz sampling overhead). Then prints
+#                       the git-tracked line counts and the mode's wall time.
 #   introspect        - admin-plane smoke: launch the quickstart with the
 #                       endpoint enabled, scrape /metrics via pspctl --check
 #                       (malformed exposition is a hard failure) and validate
@@ -580,12 +580,34 @@ run_e2e() {
   echo "e2e smoke OK"
 }
 
+# Benchmark gates: each bench binary judges its own measurement and exits
+# non-zero on a breach. Benchmarks are only meaningful optimised, so they get
+# a Release tree of their own, never a Debug or sanitizer one.
 run_bench() {
   local build=${1:-build-bench}
-  # Smoke windows: short enough for CI, still runs every gate. The report
-  # lands in the build tree, not the repo root (the committed BENCH_PR3.json
-  # comes from a full run).
-  scripts/bench_report.sh --smoke "$build" "$build/BENCH_SMOKE.json"
+  local start=$SECONDS
+  local benches="micro_sim_engine micro_introspect micro_profiler"
+  cmake -B "$build" -S . -DCMAKE_BUILD_TYPE=Release >/dev/null
+  # shellcheck disable=SC2086
+  cmake --build "$build" -j "$(nproc)" --target $benches
+  local b rc
+  for b in $benches; do
+    echo "== $b"
+    rc=0
+    "$build/bench/$b" || rc=$?
+    if [ "$rc" != 0 ]; then
+      echo "bench gate FAILED: $b (rc=$rc)" >&2
+      return 1
+    fi
+  done
+  # Shrinkage is measured like speed: git-tracked lines per tree.
+  echo "== git-tracked lines"
+  local tree
+  for tree in src tools scripts bench tests; do
+    printf '%-8s %s\n' "$tree" "$(git ls-files -z -- "$tree" ':!bench/e2e' |
+      xargs -0 -r cat | wc -l)"
+  done
+  echo "bench OK ($((SECONDS - start))s wall)"
 }
 
 case "$MODE" in

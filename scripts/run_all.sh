@@ -7,7 +7,7 @@ BUILD=${1:-build}
 ROOT="$(cd "$(dirname "$0")/.." && pwd)"
 cd "$ROOT"
 
-cmake -B "$BUILD" -G Ninja
+cmake -B "$BUILD"
 cmake --build "$BUILD"
 
 ctest --test-dir "$BUILD" 2>&1 | tee "$ROOT/test_output.txt"

@@ -48,42 +48,6 @@ TEST(BenchUtil, EnvKnobs) {
   unsetenv("PSP_BENCH_CSV");
 }
 
-TEST(BenchUtil, JsonModeEnvKnob) {
-  EXPECT_FALSE(JsonMode());
-  setenv("PSP_BENCH_JSON", "1", 1);
-  EXPECT_TRUE(JsonMode());
-  setenv("PSP_BENCH_JSON", "0", 1);
-  EXPECT_FALSE(JsonMode());
-  unsetenv("PSP_BENCH_JSON");
-}
-
-TEST(BenchUtil, TableToJsonEmitsRowObjects) {
-  Table t({"policy", "load", "p999_slowdown"});
-  t.AddRow({"darc", "0.6", "4.20"});
-  t.AddRow({"c-fcfs", "0.6", "117.00"});
-  EXPECT_EQ(t.ToJson(),
-            "[\n"
-            "  {\"policy\": \"darc\", \"load\": 0.6, \"p999_slowdown\": 4.20},\n"
-            "  {\"policy\": \"c-fcfs\", \"load\": 0.6, "
-            "\"p999_slowdown\": 117.00}\n"
-            "]");
-}
-
-TEST(BenchUtil, TableToJsonQuotesNonNumericAndEscapes) {
-  Table t({"name \"x\"", "value"});
-  t.AddRow({"a\\b", "inf"});
-  // "inf" parses via strtod but is not valid JSON: must stay a string.
-  EXPECT_EQ(t.ToJson(),
-            "[\n"
-            "  {\"name \\\"x\\\"\": \"a\\\\b\", \"value\": \"inf\"}\n"
-            "]");
-}
-
-TEST(BenchUtil, TableToJsonEmptyTable) {
-  Table t({"a"});
-  EXPECT_EQ(t.ToJson(), "[]");
-}
-
 TEST(BenchUtil, SystemPresetsConstruct) {
   // Factory smoke tests: each preset builds a live policy object.
   EXPECT_EQ(MakeDarc()->Name(), "darc");

@@ -7,7 +7,9 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
+#include <memory>
 #include <sstream>
 
 #include "src/sim/policies/c_fcfs.h"
@@ -158,6 +160,9 @@ TEST(FleetSim, ShortestQueueBoundedStalenessRefreshesSparingly) {
 TEST(FleetSim, WritesFleetIntrospectionArtifacts) {
   char tmpl[] = "/tmp/psp_fleet_XXXXXX";
   ASSERT_NE(::mkdtemp(tmpl), nullptr);
+  // Removes the directory on every exit, a failed ASSERT included.
+  const std::unique_ptr<char, void (*)(char*)> cleanup(
+      tmpl, [](char* path) { std::filesystem::remove_all(path); });
   const std::string dir = std::string(tmpl) + "/fleet";
   FleetSimConfig config = SmallFleet(2, FleetPolicyKind::kPowerOfTwo, 0.4);
   config.introspect_dir = dir;

@@ -180,16 +180,26 @@ TEST(RuntimeUdp, AdaptivePollServesAndSleepsWhenIdle) {
   server.Start();
 
   const UdpLoadGenReport report = Drive(server.udp_port(), 200);
-  // An idle stretch after the load: the adaptive poller must be sleeping,
-  // not spinning.
-  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  ASSERT_NE(server.udp_ingress(), nullptr);
+  // An idle stretch after the load: the adaptive poller must spend at least
+  // a tenth of it asleep. About three quarters is typical; each capped sleep
+  // overshoots its request, and a starved poller waits for a core after each
+  // wakeup (down to ~0.2 under sanitizers on an oversubscribed ctest -j).
+  // Busy polling never sleeps, and a poller that never backs off sleeps
+  // ~0.035, so this is the gate that adaptive polling undercuts busy
+  // polling's idle CPU.
+  constexpr Nanos kIdle = 50 * kMillisecond;
+  const uint64_t slept_before = server.udp_ingress()->stats().slept_nanos;
+  std::this_thread::sleep_for(std::chrono::nanoseconds(kIdle));
+  const uint64_t idle_slept =
+      server.udp_ingress()->stats().slept_nanos - slept_before;
   server.Stop();
 
   EXPECT_EQ(report.received, 200u);
-  ASSERT_NE(server.udp_ingress(), nullptr);
   const UdpIngressStats stats = server.udp_ingress()->stats();
   EXPECT_GT(stats.sleeps, 0u);
   EXPECT_GT(stats.slept_nanos, 0u);
+  EXPECT_GE(idle_slept, static_cast<uint64_t>(kIdle / 10));
 }
 
 TEST(RuntimeUdp, TruncatedDatagramFeedsDropTelemetry) {

@@ -16,6 +16,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <string>
 #include <thread>
 
 #include "src/apps/synthetic.h"
@@ -114,11 +115,15 @@ int main(int argc, char** argv) {
   const psp::TelemetrySnapshot snap = server.telemetry_snapshot();
   std::printf("\n%s", snap.ToTable().c_str());
   std::printf("\n%s", snap.StageReport().c_str());
+  // Per-worker occupancy from the time ledger: DARC's deliberate idling
+  // shows as reserved cores that stay mostly idle.
   for (uint32_t w = 0; w < server.num_workers(); ++w) {
-    const psp::WorkerUtilization u = server.worker_utilization(w);
+    const psp::WorkerTimeRecord& time = snap.worker_time[w];
+    const uint64_t wall = time.WallNs();
     std::printf("  worker %u: %llu requests, %.1f%% busy\n", w,
-                static_cast<unsigned long long>(u.requests),
-                u.BusyFraction() * 100);
+                static_cast<unsigned long long>(snap.counter(
+                    "worker." + std::to_string(w) + ".requests")),
+                wall > 0 ? 100.0 * time.BusyNs() / wall : 0.0);
   }
   return 0;
 }

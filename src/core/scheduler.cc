@@ -377,9 +377,10 @@ std::optional<DarcScheduler::Assignment> DarcScheduler::DispatchDarc(
     Nanos now) {
   // Algorithm 1: iterate typed queues sorted by ascending mean service time;
   // for each non-empty queue, search the group's reserved workers first, then
-  // its stealable workers. With group_fcfs (the paper's single-queue
-  // abstraction), when several types of the *same* group have waiting
-  // requests, the globally oldest head goes first.
+  // its stealable workers. Each group is one queue (the paper's single-queue
+  // abstraction, §3): when several types of the *same* group have waiting
+  // requests, the globally oldest head goes first. Groups are still visited
+  // shortest-first.
   uint32_t pending_group = UINT32_MAX;
   TypeIndex pending_type = kInvalidTypeIndex;
   WorkerId pending_worker = kInvalidWorker;
@@ -410,9 +411,6 @@ std::optional<DarcScheduler::Assignment> DarcScheduler::DispatchDarc(
     }
     if (w == kInvalidWorker) {
       continue;
-    }
-    if (!config_.group_fcfs) {
-      return MakeAssignment(type, w, stolen, now);
     }
     const Nanos arrival = queues_[type].Front().arrival;
     if (pending_type == kInvalidTypeIndex || arrival < pending_arrival) {

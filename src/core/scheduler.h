@@ -50,10 +50,6 @@ struct SchedulerConfig {
   // Ablation knob: disable cycle stealing (short groups may then run only on
   // their reserved cores — pure static partitioning with DARC sizing).
   bool enable_stealing = true;
-  // Within a reservation group, dequeue member types in global FCFS order
-  // (the paper's "single queue abstraction", §3) instead of Algorithm 1's
-  // literal fixed type order. Groups are still visited shortest-first.
-  bool group_fcfs = true;
   ProfilerConfig profiler;
   // Deadline tier (src/sched/): per-type budgets resolved at RegisterType,
   // exposed through DeadlineTargetOf for ingress stamping, consumed by the

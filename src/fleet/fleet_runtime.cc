@@ -39,7 +39,7 @@ FleetRuntime::FleetRuntime(FleetRuntimeConfig config)
     : config_(ValidatedFleetConfig(std::move(config))),
       policy_(FleetDispatchPolicy::Create(config_.policy,
                                           config_.num_servers)),
-      ingress_(config_.ingress_depth, /*yield_on_idle=*/true),
+      ingress_(config_.ingress_depth),
       rng_(Rng::StreamSeed(config_.seed, 1)),
       depth_view_(config_.num_servers, 0),
       outstanding_(config_.num_servers, 0),

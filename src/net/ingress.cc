@@ -19,10 +19,6 @@ std::string IngressConfig::Validate() const {
     return "";
   }
   // udp mode.
-  if (dedicated_net_worker) {
-    return "ingress: udp mode always runs dedicated net workers; "
-           "dedicated_net_worker is the ring-mode knob";
-  }
   if (listen_port < 0) {
     return "ingress: udp mode needs listen_port (0 binds an ephemeral port)";
   }

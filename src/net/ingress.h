@@ -46,16 +46,10 @@ inline const char* IngressModeName(IngressMode mode) {
 
 // The runtime's ingress frontend configuration (RuntimeConfig::ingress).
 struct IngressConfig {
+  // Ring mode runs Perséphone's own arrangement: net worker and dispatcher
+  // share one thread ("Perséphone runs both its net worker and dispatcher on
+  // the same hardware thread", §5.1). UDP mode runs dedicated net workers.
   IngressMode mode = IngressMode::kRing;
-
-  // Ring mode only: run the net worker on its own thread (the
-  // Shinjuku/Shenango arrangement). Default false: net worker and dispatcher
-  // share one thread, Perséphone's own configuration ("Perséphone runs both
-  // its net worker and dispatcher on the same hardware thread", §5.1). The
-  // net worker performs the paper's layer-2 checks and forwards frames to
-  // the dispatcher over an SPSC ring. UDP mode always runs dedicated net
-  // workers, so setting this there is rejected as a misconfiguration.
-  bool dedicated_net_worker = false;
 
   // UDP mode: listen address (loopback by default — there is no auth layer).
   std::string listen_addr = "127.0.0.1";
@@ -73,8 +67,7 @@ struct IngressConfig {
   // overflow the default budget long before the NIC would).
   int socket_buffer_bytes = 1 << 20;
 
-  // Net-worker pacing on empty polls (ring-mode dedicated net worker and
-  // every UDP net worker). See src/net/poll_control.h.
+  // UDP mode: net-worker pacing on empty polls. See src/net/poll_control.h.
   PollControlConfig poll;
 
   // Empty string = valid; otherwise a description of the misconfiguration.
@@ -113,15 +106,14 @@ class EgressSink {
 };
 
 // An SPSC ring behind the IngressSource interface: the producer side is
-// exposed via ring() (the ring-mode net worker forwards validated frames
-// here; the fleet front-end's client Submit()s typed entries the same way).
+// exposed via ring() (the fleet front-end's client Submit()s typed entries
+// here). IdleHint yields, so the runtime stays live on machines with fewer
+// cores than threads.
 template <typename Frame>
 class RingIngressSource final : public IngressSourceT<Frame> {
  public:
-  // depth must be a power of two; yield_on_idle maps the runtime's
-  // cooperative-idling knob onto IdleHint.
-  RingIngressSource(size_t depth, bool yield_on_idle)
-      : ring_(depth), yield_on_idle_(yield_on_idle) {}
+  // depth must be a power of two.
+  explicit RingIngressSource(size_t depth) : ring_(depth) {}
 
   SpscRing<Frame>& ring() { return ring_; }
 
@@ -129,25 +121,21 @@ class RingIngressSource final : public IngressSourceT<Frame> {
     return ring_.TryPopBurst(out, max_n);
   }
 
-  void IdleHint() override {
-    if (yield_on_idle_) {
-      std::this_thread::yield();
-    }
-  }
+  void IdleHint() override { std::this_thread::yield(); }
 
   const char* Name() const override { return "ring"; }
 
  private:
   SpscRing<Frame> ring_;
-  bool yield_on_idle_;
 };
 
 // Direct NIC RX-queue poll (the paper's own arrangement: net worker and
 // dispatcher share one hardware thread, so the dispatcher polls RX itself).
+// IdleHint yields, like RingIngressSource's.
 class NicIngressSource final : public IngressSource {
  public:
-  NicIngressSource(SimulatedNic* nic, uint32_t queue, bool yield_on_idle)
-      : nic_(nic), queue_(queue), yield_on_idle_(yield_on_idle) {}
+  NicIngressSource(SimulatedNic* nic, uint32_t queue)
+      : nic_(nic), queue_(queue) {}
 
   size_t PollBurst(PacketRef* out, size_t max_n) override {
     size_t n = 0;
@@ -157,18 +145,13 @@ class NicIngressSource final : public IngressSource {
     return n;
   }
 
-  void IdleHint() override {
-    if (yield_on_idle_) {
-      std::this_thread::yield();
-    }
-  }
+  void IdleHint() override { std::this_thread::yield(); }
 
   const char* Name() const override { return "nic"; }
 
  private:
   SimulatedNic* nic_;
   uint32_t queue_;
-  bool yield_on_idle_;
 };
 
 // TX into the simulated NIC: frames land on the egress ring the in-process

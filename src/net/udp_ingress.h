@@ -57,8 +57,9 @@ class UdpIngress final : public IngressSource, public EgressSink {
  public:
   // `config.mode` must be kUdp and `config` must already Validate().
   // ring_depth (power of two) sizes each shard's forwarding ring; frames are
-  // carved from `pool`; yield_on_idle maps the runtime's cooperative-idling
-  // knob onto the dispatcher-side IdleHint.
+  // carved from `pool`; yield_on_idle makes the dispatcher-side IdleHint
+  // yield (the runtime passes true; a caller that polls in its own loop may
+  // pass false).
   UdpIngress(const IngressConfig& config, size_t ring_depth, MemoryPool* pool,
              bool yield_on_idle);
   ~UdpIngress() override;

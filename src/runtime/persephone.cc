@@ -122,28 +122,21 @@ Persephone::Persephone(RuntimeConfig config) : config_(std::move(config)) {
   channels_.reserve(config_.num_workers);
   for (uint32_t w = 0; w < config_.num_workers; ++w) {
     channels_.push_back(std::make_unique<WorkerChannel>(config_.channel_depth));
-    worker_counters_.push_back(std::make_unique<WorkerCounters>());
+    worker_requests_.push_back(std::make_unique<std::atomic<uint64_t>>(0));
   }
   // Wire the ingress/egress seam for the configured mode (see the member
   // comment in the header for the map).
   if (config_.ingress.mode == IngressMode::kUdp) {
     udp_ = std::make_unique<UdpIngress>(config_.ingress,
                                         config_.nic_queue_depth, pool_.get(),
-                                        config_.yield_when_idle);
+                                        /*yield_on_idle=*/true);
     ingress_source_ = udp_.get();
     egress_sink_ = udp_.get();
   } else {
     nic_sink_ = std::make_unique<NicEgressSink>(nic_.get());
     egress_sink_ = nic_sink_.get();
-    if (config_.ingress.dedicated_net_worker) {
-      ring_source_ = std::make_unique<RingIngressSource<PacketRef>>(
-          config_.nic_queue_depth, config_.yield_when_idle);
-      ingress_source_ = ring_source_.get();
-    } else {
-      nic_source_ = std::make_unique<NicIngressSource>(
-          nic_.get(), 0, config_.yield_when_idle);
-      ingress_source_ = nic_source_.get();
-    }
+    nic_source_ = std::make_unique<NicIngressSource>(nic_.get(), 0);
+    ingress_source_ = nic_source_.get();
   }
   // Slot 0 (UNKNOWN) default handler: empty response.
   handlers_.push_back([](const std::byte*, uint32_t, std::byte*, uint32_t) {
@@ -230,8 +223,6 @@ void Persephone::Start() {
         udp_->RunNetWorker(i, stop_);
       });
     }
-  } else if (config_.ingress.dedicated_net_worker) {
-    threads_.emplace_back([this] { NetWorkerLoop(); });
   }
   threads_.emplace_back([this] { DispatcherLoop(); });
   for (uint32_t w = 0; w < config_.num_workers; ++w) {
@@ -259,8 +250,8 @@ void Persephone::Stop() {
     t.join();
   }
   threads_.clear();
-  // Release frames the dispatcher never consumed (net-worker forwarding
-  // rings, NIC RX) so the pool's buffer accounting balances across restarts.
+  // Release frames the dispatcher never consumed (udp forwarding rings, NIC
+  // RX) so the pool's buffer accounting balances across restarts.
   {
     PacketRef leftover[kIngressBurst];
     size_t n;
@@ -277,50 +268,37 @@ void Persephone::Stop() {
   // flag landed, so scheduler-side counts (the single source of truth for
   // `completed`) match the work the workers actually finished.
   const Nanos now = TscClock::Global().Now();
-  TimeSeriesRecorder* const ts = telemetry_->timeseries();
-  CompletionSignal signals[WorkerChannel::kCompletionBurst];
-  for (uint32_t w = 0; w < config_.num_workers; ++w) {
-    size_t n;
-    while ((n = channels_[w]->PopCompletionBurst(
-                signals, WorkerChannel::kCompletionBurst)) > 0) {
-      for (size_t i = 0; i < n; ++i) {
-        scheduler_->OnCompletion(w, signals[i].type, signals[i].service_time,
-                                 now, signals[i].deadline);
-        if (ts != nullptr) {
-          ts->RecordCompletion(series_slots_[signals[i].type],
-                               now - signals[i].arrival,
-                               signals[i].service_time, now);
-          if (signals[i].deadline > 0 && now > signals[i].deadline) {
-            ts->RecordDeadlineMiss(series_slots_[signals[i].type], now);
-          }
-        }
-      }
-    }
-  }
+  DrainCompletions(now, telemetry_->timeseries());
   // Close the final (partial) interval so short runs still produce a series,
   // and flush any SLO alert raised by it.
   telemetry_->AdvanceTimeSeries(now, /*flush=*/true);
   running_.store(false, std::memory_order_release);
 }
 
-WorkerUtilization Persephone::worker_utilization(uint32_t id) const {
-  WorkerUtilization u;
-  if (id >= worker_counters_.size()) {
-    return u;
+bool Persephone::DrainCompletions(Nanos now, TimeSeriesRecorder* ts) {
+  // Burst drains: one channel-index update per batch of signals.
+  CompletionSignal signals[WorkerChannel::kCompletionBurst];
+  bool drained_any = false;
+  for (uint32_t w = 0; w < config_.num_workers; ++w) {
+    size_t n;
+    while ((n = channels_[w]->PopCompletionBurst(
+                signals, WorkerChannel::kCompletionBurst)) > 0) {
+      for (size_t i = 0; i < n; ++i) {
+        const CompletionSignal& signal = signals[i];
+        scheduler_->OnCompletion(w, signal.type, signal.service_time, now,
+                                 signal.deadline);
+        if (ts != nullptr) {
+          ts->RecordCompletion(series_slots_[signal.type],
+                               now - signal.arrival, signal.service_time, now);
+          if (signal.deadline > 0 && now > signal.deadline) {
+            ts->RecordDeadlineMiss(series_slots_[signal.type], now);
+          }
+        }
+      }
+      drained_any = true;
+    }
   }
-  const WorkerCounters& counters = *worker_counters_[id];
-  // Consistent snapshot: read the epoch first, then busy, then derive wall
-  // from a clock read taken *after* busy. Mid-run, the worker may add busy
-  // time between the two reads; clamping wall to >= busy keeps the pair
-  // coherent (BusyFraction() in [0, 1]) instead of transiently > 100%.
-  const int64_t started = counters.started_at.load(std::memory_order_acquire);
-  u.busy = static_cast<Nanos>(counters.busy.load(std::memory_order_acquire));
-  u.requests = counters.requests.load(std::memory_order_relaxed);
-  if (started > 0) {
-    const Nanos wall = TscClock::Global().Now() - started;
-    u.wall = wall > u.busy ? wall : u.busy;
-  }
-  return u;
+  return drained_any;
 }
 
 TelemetrySnapshot Persephone::telemetry_snapshot() const {
@@ -352,23 +330,19 @@ TelemetrySnapshot Persephone::telemetry_snapshot() const {
                    ? scheduler_->type_name(static_cast<TypeIndex>(type))
                    : std::string();
       });
+  // busy_nanos and busy_permille both derive from the ledger
+  // (dispatch-to-completion occupancy as the scheduler sees it), so every
+  // exporter reports one busy time; see docs/OBSERVABILITY.md.
   for (uint32_t w = 0; w < config_.num_workers; ++w) {
-    const WorkerUtilization u = worker_utilization(w);
     const std::string prefix = "worker." + std::to_string(w);
-    snap.counters[prefix + ".requests"] += u.requests;
-    snap.gauges[prefix + ".busy_nanos"] = u.busy;
-    // busy_permille derives from the time ledger (dispatch-to-completion
-    // occupancy as the scheduler sees it) rather than handler wall time;
-    // same name and scale, provenance noted in docs/OBSERVABILITY.md.
-    int64_t permille = 0;
-    if (w < snap.worker_time.size()) {
-      const WorkerTimeRecord& record = snap.worker_time[w];
-      const uint64_t wall = record.WallNs();
-      if (wall > 0) {
-        permille = static_cast<int64_t>(record.BusyNs() * 1000 / wall);
-      }
-    }
-    snap.gauges[prefix + ".busy_permille"] = permille;
+    snap.counters[prefix + ".requests"] +=
+        worker_requests_[w]->load(std::memory_order_relaxed);
+    const WorkerTimeRecord& record = snap.worker_time[w];
+    const uint64_t wall = record.WallNs();
+    snap.gauges[prefix + ".busy_nanos"] =
+        static_cast<int64_t>(record.BusyNs());
+    snap.gauges[prefix + ".busy_permille"] =
+        wall > 0 ? static_cast<int64_t>(record.BusyNs() * 1000 / wall) : 0;
   }
   return snap;
 }
@@ -536,66 +510,9 @@ std::string Persephone::ApplyConfigKey(const std::string& key,
          "\" (supported: sampling, slo.<TYPE>.slowdown)";
 }
 
-void Persephone::NetWorkerLoop() {
-  if (config_.pin_threads) {
-    PinCurrentThread(0);
-  }
-  ScopedProfileThread profiled(
-      cpu_sampler_.get(), "net", nullptr,
-      WorkerTimeLedger::Pack(WorkerTimeState::kPollSpin,
-                             WorkerTimeLedger::kUntyped));
-  // The paper's net worker: "a layer 2 forwarder [that] performs simple
-  // checks on Ethernet and IP headers" (§6) before handing frames to the
-  // dispatcher. Full request parsing/classification stays on the dispatcher.
-  // Frames are gathered and forwarded in bursts (DPDK rx_burst-style): one
-  // shared-index update per burst on the forwarding ring. Empty polls follow
-  // the configured pacing policy, like the UDP net workers.
-  PollController poller(config_.ingress.poll);
-  SpscRing<PacketRef>& ring = ring_source_->ring();
-  PacketRef batch[kIngressBurst];
-  while (!stop_.load(std::memory_order_acquire)) {
-    size_t n = 0;
-    PacketRef packet;
-    while (n < kIngressBurst && nic_->PollRx(0, &packet)) {
-      bool ok = packet.length >= kHeadersSize;
-      if (ok) {
-        const auto* eth = reinterpret_cast<const EthernetHeader*>(packet.data);
-        const auto* ip = reinterpret_cast<const Ipv4Header*>(
-            packet.data + sizeof(EthernetHeader));
-        ok = NetToHost16(eth->ether_type) == EthernetHeader::kEtherTypeIpv4 &&
-             ip->version_ihl == 0x45;
-      }
-      if (!ok) {
-        malformed_->Add();
-        pool_->FreeGlobal(packet.data);
-        continue;
-      }
-      batch[n++] = packet;
-    }
-    if (n == 0) {
-      poller.OnIdle();
-      continue;
-    }
-    poller.OnWork();
-    size_t forwarded = 0;
-    while (forwarded < n) {
-      forwarded += ring.TryPushBurst(batch + forwarded, n - forwarded);
-      if (forwarded < n) {
-        if (stop_.load(std::memory_order_acquire)) {
-          for (size_t i = forwarded; i < n; ++i) {
-            pool_->FreeGlobal(batch[i].data);
-          }
-          return;
-        }
-        IdlePause();  // dispatcher backpressure
-      }
-    }
-  }
-}
-
 void Persephone::DispatcherLoop() {
   if (config_.pin_threads) {
-    PinCurrentThread(0);  // shares the net worker's core, as in the paper
+    PinCurrentThread(0);  // shared with net I/O, as in the paper (§5.1)
   }
   const TscClock& clock = TscClock::Global();
   // 1-in-N lifecycle sampling; the decision is one branch per request, so
@@ -604,7 +521,6 @@ void Persephone::DispatcherLoop() {
   // Time-series hooks: nullptr when disabled, then the hot path pays nothing
   // beyond one pointer test per event.
   TimeSeriesRecorder* const ts = telemetry_->timeseries();
-  CompletionSignal signals[WorkerChannel::kCompletionBurst];
   PacketRef ingress[kIngressBurst];
   const uint32_t dispatcher_slot = time_ledger_.dispatcher_slot();
   ScopedProfileThread profiled(
@@ -618,35 +534,14 @@ void Persephone::DispatcherLoop() {
   // (zero extra clock reads on the hot path).
   WorkerTimeState iteration_state = WorkerTimeState::kPollSpin;
   while (!stop_.load(std::memory_order_acquire)) {
-    bool progressed = false;
     const Nanos now = clock.Now();
     time_ledger_.AccountSpan(dispatcher_slot, iteration_state, now);
     // Pick up live sampling changes (POST /config sampling=N): one relaxed
     // load per loop iteration, a no-op store-free branch when unchanged.
     sampler.set_every(telemetry_->sample_every());
 
-    // 1. Absorb completion signals (frees workers, feeds the profiler) —
-    // burst drains: one channel-index update per batch of signals.
-    for (uint32_t w = 0; w < config_.num_workers; ++w) {
-      size_t drained;
-      while ((drained = channels_[w]->PopCompletionBurst(
-                  signals, WorkerChannel::kCompletionBurst)) > 0) {
-        for (size_t i = 0; i < drained; ++i) {
-          const CompletionSignal& signal = signals[i];
-          scheduler_->OnCompletion(w, signal.type, signal.service_time, now,
-                                   signal.deadline);
-          if (ts != nullptr) {
-            ts->RecordCompletion(series_slots_[signal.type],
-                                 now - signal.arrival, signal.service_time,
-                                 now);
-            if (signal.deadline > 0 && now > signal.deadline) {
-              ts->RecordDeadlineMiss(series_slots_[signal.type], now);
-            }
-          }
-        }
-        progressed = true;
-      }
-    }
+    // 1. Absorb completion signals (frees workers, feeds the profiler).
+    bool progressed = DrainCompletions(now, ts);
 
     // 2. Ingest new packets in bursts (one ring-index update per batch):
     // parse, classify, enqueue into typed queues.
@@ -682,8 +577,7 @@ void Persephone::DispatcherLoop() {
     iteration_state = progressed ? WorkerTimeState::kDispatchOverhead
                                  : WorkerTimeState::kPollSpin;
     if (!progressed) {
-      // Let the source pace the idle round (yield, or nothing when the
-      // runtime is configured to busy-poll).
+      // Let the source pace the idle round.
       ingress_source_->IdleHint();
     }
   }
@@ -801,14 +695,12 @@ void Persephone::SampleTimeSeriesGauges(IntervalRecord* rec) {
 void Persephone::WorkerLoop(uint32_t worker_id) {
   if (config_.pin_threads) {
     // App workers start after the net-worker cores (see the core map in the
-    // header): base 1 covers the inline/dedicated ring paths, where net I/O
-    // shares core 0 with the dispatcher.
+    // header): base 1 covers ring mode, where the dispatcher polls RX itself.
     PinCurrentThread(std::max<uint32_t>(1, NumNetThreads()) + worker_id);
   }
   const TscClock& clock = TscClock::Global();
   WorkerChannel& channel = *channels_[worker_id];
-  WorkerCounters& counters = *worker_counters_[worker_id];
-  counters.started_at.store(clock.Now(), std::memory_order_relaxed);
+  std::atomic<uint64_t>& requests = *worker_requests_[worker_id];
   // The scheduler (dispatcher thread) owns this worker's ledger slot; the
   // packed state word is what tags this thread's profile samples.
   ScopedProfileThread profiled(
@@ -819,7 +711,7 @@ void Persephone::WorkerLoop(uint32_t worker_id) {
   while (!stop_.load(std::memory_order_acquire)) {
     WorkOrder order;
     if (!channel.PopOrder(&order)) {
-      IdlePause();
+      std::this_thread::yield();
       continue;
     }
     auto* frame = static_cast<std::byte*>(order.payload);
@@ -863,9 +755,7 @@ void Persephone::WorkerLoop(uint32_t worker_id) {
       pool_->FreeGlobal(frame);
     }
     const Nanos service = clock.Now() - start;
-    counters.busy.fetch_add(static_cast<uint64_t>(service),
-                            std::memory_order_relaxed);
-    counters.requests.fetch_add(1, std::memory_order_relaxed);
+    requests.fetch_add(1, std::memory_order_relaxed);
     if (order.trace.sampled != 0) {
       // Commit the completed lifecycle record into this worker's ring.
       RequestTrace record;

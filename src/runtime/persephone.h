@@ -51,22 +51,17 @@ struct RuntimeConfig {
   size_t channel_depth = 512;
   size_t nic_queue_depth = 1024;
   size_t pool_buffers = 8192;
-  // Cooperative yielding keeps the runtime functional on machines with fewer
-  // cores than threads (true busy-poll pins one core per thread, as on the
-  // paper's testbed).
-  bool yield_when_idle = true;
   // Best-effort CPU pinning (the paper's testbed pins every role to a
-  // dedicated core via isolcpus). Core map, with T = net-worker thread count
-  // (0 on the inline ring path, 1 for ring + dedicated_net_worker,
-  // ingress.num_net_workers in udp mode), everything modulo the online core
-  // count:
-  //   core 0              dispatcher, sharing with net worker 0 when one
-  //                       exists (the paper's shared-hardware-thread
-  //                       arrangement, §5.1)
-  //   cores 1 .. T-1      net workers 1 .. T-1 (udp mode with several shards)
-  //   core max(1,T) + w   application worker w
+  // dedicated core via isolcpus). Core map, modulo the online core count:
+  //   core 0              dispatcher; in ring mode it polls NIC RX itself,
+  //                       in udp mode it shares the core with net worker 0
+  //                       (the paper's shared-hardware-thread arrangement,
+  //                       §5.1)
+  //   cores 1 .. T-1      udp net workers 1 .. T-1 (T = num_net_workers)
+  //   core max(1,T) + w   application worker w (T = 0 in ring mode)
   // No-op when the machine has fewer than two cores or pinning is
-  // unsupported.
+  // unsupported. Idle threads yield, so the runtime stays live on machines
+  // with fewer cores than threads.
   bool pin_threads = false;
   // Ingress frontend: where request frames come from (in-process ring vs
   // kernel UDP sockets), net-worker threading and poll pacing. See
@@ -87,25 +82,6 @@ struct RuntimeConfig {
   // Persephone's constructor calls this (plus scheduler.Validate with the
   // effective worker count) and throws std::invalid_argument.
   std::string Validate() const;
-};
-
-// Per-worker occupancy since Start(): busy time is accumulated while a
-// handler runs, so busy/wall exposes DARC's deliberate idling per core.
-// worker_utilization() snapshots busy and wall consistently (wall is derived
-// after busy is read, and never reported smaller than busy), so the fraction
-// is meaningful even mid-run.
-struct WorkerUtilization {
-  Nanos busy = 0;
-  Nanos wall = 0;
-  uint64_t requests = 0;
-
-  double BusyFraction() const {
-    if (wall <= 0) {
-      return 0.0;
-    }
-    const double f = static_cast<double>(busy) / static_cast<double>(wall);
-    return f < 0.0 ? 0.0 : (f > 1.0 ? 1.0 : f);
-  }
 };
 
 class Persephone {
@@ -149,8 +125,8 @@ class Persephone {
 
   // --- Observability ----------------------------------------------------------
   // The unified introspection surface: counters, gauges, per-worker
-  // utilization, scheduler state and sampled lifecycle traces, in one
-  // self-contained snapshot. Safe to call while the server runs.
+  // occupancy (worker_time), scheduler state and sampled lifecycle traces,
+  // in one self-contained snapshot. Safe to call while the server runs.
   TelemetrySnapshot telemetry_snapshot() const;
   Telemetry& telemetry() { return *telemetry_; }
   const Telemetry& telemetry() const { return *telemetry_; }
@@ -162,8 +138,6 @@ class Persephone {
   // The tail-outlier recorder, when config.outliers.enabled.
   const OutlierRecorder* outliers() const { return outliers_.get(); }
 
-  // Occupancy snapshot for worker `id` (valid after Start()).
-  WorkerUtilization worker_utilization(uint32_t id) const;
   uint32_t num_workers() const { return config_.num_workers; }
 
   // The worker time-provenance ledger: per-worker wall time decomposed into
@@ -177,7 +151,6 @@ class Persephone {
   CpuSampler& cpu_sampler() { return *cpu_sampler_; }
 
  private:
-  void NetWorkerLoop();
   void DispatcherLoop();
   void WorkerLoop(uint32_t worker_id);
   // Low-overhead time-series watchdog (only spawned when the recorder is
@@ -187,28 +160,24 @@ class Persephone {
   // Stamps queue depths, reserved shares and per-worker busy fractions into
   // a closing interval (recorder gauge hook; runs under the roll lock).
   void SampleTimeSeriesGauges(IntervalRecord* rec);
-  // Ingress burst width (dispatcher RX batches, net-worker forwarding): the
-  // DPDK-conventional 16 — deep enough to amortise the shared-index update,
-  // shallow enough not to add queueing delay at the dispatch stage.
+  // Ingress burst width (dispatcher RX batches): the DPDK-conventional 16 —
+  // deep enough to amortise the shared-index update, shallow enough not to
+  // add queueing delay at the dispatch stage.
   static constexpr size_t kIngressBurst = 16;
 
   // Net-worker threads this configuration runs (see the pin_threads core
-  // map): 0 on the inline ring path, 1 for ring + dedicated_net_worker,
-  // ingress.num_net_workers in udp mode.
+  // map): ingress.num_net_workers in udp mode, 0 in ring mode.
   uint32_t NumNetThreads() const {
-    if (config_.ingress.mode == IngressMode::kUdp) {
-      return config_.ingress.num_net_workers;
-    }
-    return config_.ingress.dedicated_net_worker ? 1 : 0;
+    return config_.ingress.mode == IngressMode::kUdp
+               ? config_.ingress.num_net_workers
+               : 0;
   }
   // Parses, classifies and enqueues one ingress frame (dispatcher thread).
   void IngestPacket(const PacketRef& packet, Nanos now, TraceSampler* sampler,
                     TimeSeriesRecorder* ts);
-  void IdlePause() const {
-    if (config_.yield_when_idle) {
-      std::this_thread::yield();
-    }
-  }
+  // Absorbs every completion signal pending on the worker channels into the
+  // scheduler (and the time series); returns whether any was pending.
+  bool DrainCompletions(Nanos now, TimeSeriesRecorder* ts);
 
   // Builds the AdminHooks bundle wiring the endpoint to this runtime.
   AdminHooks MakeAdminHooks();
@@ -224,11 +193,9 @@ class Persephone {
   std::vector<std::unique_ptr<WorkerChannel>> channels_;
   // The ingress/egress seam (src/net/ingress.h). Exactly one owning pair is
   // populated per mode; the raw pointers are what the engine threads use:
-  //   ring, inline:    nic_source_ + nic_sink_ (dispatcher polls RX itself)
-  //   ring, dedicated: ring_source_ + nic_sink_ (net worker feeds the ring)
-  //   udp:             udp_ is both source and sink
+  //   ring: nic_source_ + nic_sink_ (dispatcher polls RX itself)
+  //   udp:  udp_ is both source and sink
   std::unique_ptr<NicIngressSource> nic_source_;
-  std::unique_ptr<RingIngressSource<PacketRef>> ring_source_;
   std::unique_ptr<NicEgressSink> nic_sink_;
   std::unique_ptr<UdpIngress> udp_;
   IngressSource* ingress_source_ = nullptr;
@@ -238,12 +205,9 @@ class Persephone {
   std::atomic<bool> running_{false};
   std::atomic<bool> stop_{false};
 
-  struct WorkerCounters {
-    std::atomic<uint64_t> busy{0};
-    std::atomic<uint64_t> requests{0};
-    std::atomic<int64_t> started_at{0};
-  };
-  std::vector<std::unique_ptr<WorkerCounters>> worker_counters_;
+  // Requests each worker served (worker.N.requests); the worker is the
+  // only writer. Busy time comes from time_ledger_.
+  std::vector<std::unique_ptr<std::atomic<uint64_t>>> worker_requests_;
 
   // Registry-owned counters resolved once at construction; completed/dropped
   // live in the scheduler (single source of truth, no double counting).

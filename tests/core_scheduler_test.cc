@@ -453,10 +453,10 @@ TEST(SchedulerNoStealing, ShortsConfinedToReservedCores) {
 // --- Group-FCFS dispatch (§3 single-queue abstraction) ---------------------------
 
 TEST(SchedulerGroupFcfs, OldestHeadWinsWithinAGroup) {
-  // Two similar types grouped together (δ=2): with group_fcfs the older
-  // request dispatches first regardless of which member type it belongs to.
+  // Two similar types grouped together (δ=2): the group is one queue, so the
+  // older request dispatches first regardless of which member type it
+  // belongs to.
   SchedulerConfig config = BaseConfig(PolicyMode::kDarc, 4);
-  config.group_fcfs = true;
   DarcScheduler scheduler(config);
   const TypeIndex a = scheduler.RegisterType(1, "A", FromMicros(5), 0.5);
   const TypeIndex b = scheduler.RegisterType(2, "B", FromMicros(6), 0.5);
@@ -470,24 +470,8 @@ TEST(SchedulerGroupFcfs, OldestHeadWinsWithinAGroup) {
   EXPECT_EQ(first->request.id, 1u);  // oldest head, even though A sorts first
 }
 
-TEST(SchedulerGroupFcfs, LiteralAlgorithmOneUsesTypeOrder) {
-  SchedulerConfig config = BaseConfig(PolicyMode::kDarc, 4);
-  config.group_fcfs = false;
-  DarcScheduler scheduler(config);
-  const TypeIndex a = scheduler.RegisterType(1, "A", FromMicros(5), 0.5);
-  const TypeIndex b = scheduler.RegisterType(2, "B", FromMicros(6), 0.5);
-  scheduler.ActivateSeededReservation();
-
-  scheduler.Enqueue(Req(1, b, 100), 100);
-  scheduler.Enqueue(Req(2, a, 200), 200);
-  const auto first = scheduler.NextAssignment(200);
-  ASSERT_TRUE(first.has_value());
-  EXPECT_EQ(first->request.type, a);  // strict shortest-mean type order
-}
-
 TEST(SchedulerGroupFcfs, EarlierGroupStillBeatsLaterGroup) {
   SchedulerConfig config = BaseConfig(PolicyMode::kDarc, 4);
-  config.group_fcfs = true;
   DarcScheduler scheduler(config);
   const TypeIndex s = scheduler.RegisterType(1, "SHORT", FromMicros(1), 0.5);
   const TypeIndex l = scheduler.RegisterType(2, "LONG", FromMicros(100), 0.5);

@@ -243,6 +243,43 @@ TEST(ExporterAgreement, RingRuntimeWithDeadlineTier) {
   ExpectExportersAgree(snap);
 }
 
+// worker.N.busy_nanos and the time ledger are one busy time: the gauge is
+// the ledger's busy + steal for that worker, in the same snapshot.
+TEST(ExporterAgreement, RingRuntimeWorkerBusyIsTheLedgerBusy) {
+  RuntimeConfig config;
+  config.num_workers = 2;
+  config.pool_buffers = 1024;
+  config.telemetry.timeseries.enabled = true;
+  config.telemetry.timeseries.interval = 20 * kMillisecond;
+  Persephone server(config);
+  server.RegisterType(1, "SHORT", MakeSpinHandler(), FromMicros(2), 0.9);
+  server.RegisterType(2, "LONG", MakeSpinHandler(), FromMicros(50), 0.1);
+  server.Start();
+  LoadGenConfig lg;
+  lg.rate_rps = 4000;
+  lg.total_requests = 500;
+  LoadGenerator gen(&server,
+                    {MakeSpinSpec(1, "SHORT", 0.9, FromMicros(2)),
+                     MakeSpinSpec(2, "LONG", 0.1, FromMicros(50))},
+                    lg);
+  gen.Run();
+  server.Stop();
+
+  const TelemetrySnapshot snap = server.telemetry_snapshot();
+  ASSERT_EQ(snap.worker_time.size(), config.num_workers + 1u);
+  uint64_t total_busy = 0;
+  for (uint32_t w = 0; w < config.num_workers; ++w) {
+    const std::string name = "worker." + std::to_string(w) + ".busy_nanos";
+    ASSERT_TRUE(snap.gauges.count(name)) << name;
+    total_busy += snap.worker_time[w].BusyNs();
+    EXPECT_EQ(snap.gauges.at(name),
+              static_cast<int64_t>(snap.worker_time[w].BusyNs()))
+        << name;
+  }
+  EXPECT_GT(total_busy, 0u);
+  ExpectExportersAgree(snap);
+}
+
 TEST(ExporterAgreement, SimulatedEdfRun) {
   PersephoneOptions options;
   options.scheduler.mode = PolicyMode::kEdf;

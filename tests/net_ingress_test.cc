@@ -124,9 +124,6 @@ TEST(IngressConfig, RejectsNonsenseCombos) {
   EXPECT_TRUE(udp.Validate().empty());
   udp.reuseport = false;  // several workers need reuseport
   EXPECT_FALSE(udp.Validate().empty());
-  udp.reuseport = true;
-  udp.dedicated_net_worker = true;  // ring-mode knob
-  EXPECT_FALSE(udp.Validate().empty());
 }
 
 // --- Conformance harness ----------------------------------------------------
@@ -185,7 +182,7 @@ constexpr size_t kConformanceFrames = 40;
 
 TEST(IngressConformance, RingSource) {
   MemoryPool pool(kMaxPacketSize, 128);
-  RingIngressSource<PacketRef> source(64, /*yield_on_idle=*/true);
+  RingIngressSource<PacketRef> source(64);
   for (size_t i = 0; i < kConformanceFrames; ++i) {
     ASSERT_TRUE(source.ring().TryPush(MakeFrame(&pool, i)));
   }
@@ -195,7 +192,7 @@ TEST(IngressConformance, RingSource) {
 TEST(IngressConformance, NicSource) {
   MemoryPool pool(kMaxPacketSize, 128);
   SimulatedNic nic(1, 64, &pool);
-  NicIngressSource source(&nic, 0, /*yield_on_idle=*/true);
+  NicIngressSource source(&nic, 0);
   for (size_t i = 0; i < kConformanceFrames; ++i) {
     ASSERT_TRUE(nic.DeliverToQueue(0, MakeFrame(&pool, i)));
   }

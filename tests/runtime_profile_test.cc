@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "src/apps/synthetic.h"
+#include "src/common/time.h"
 #include "src/runtime/loadgen.h"
 #include "src/runtime/persephone.h"
 #include "src/telemetry/timeledger.h"
@@ -150,11 +151,20 @@ TEST(Profile, RuntimeUnderLoadProducesLedgerTaggedStacks) {
   LoadGenConfig lg;
   lg.rate_rps = 3000;
   lg.total_requests = 1200;
-  LoadGenerator gen(&server,
-                    {MakeSpinSpec(1, "SHORT", 0.9, FromMicros(2)),
-                     MakeSpinSpec(2, "LONG", 0.1, FromMicros(50))},
-                    lg);
-  gen.Run();
+  // The timers run on CPU time, so how soon the dispatcher takes its first
+  // sample depends on how much CPU other processes leave it. Keep the load
+  // coming, in 0.4 s rounds, until it has one or a deadline passes.
+  const TscClock& clock = TscClock::Global();
+  const Nanos deadline = clock.Now() + 5 * kSecond;
+  do {
+    LoadGenerator gen(&server,
+                      {MakeSpinSpec(1, "SHORT", 0.9, FromMicros(2)),
+                       MakeSpinSpec(2, "LONG", 0.1, FromMicros(50))},
+                      lg);
+    gen.Run();
+  } while (("\n" + server.cpu_sampler().Folded(nullptr)).find(
+               "\ndispatcher;") == std::string::npos &&
+           clock.Now() < deadline);
   ASSERT_TRUE(server.cpu_sampler().Stop());
   const std::string folded = server.cpu_sampler().Folded(
       [&](uint32_t type) { return std::string("T") + std::to_string(type); });

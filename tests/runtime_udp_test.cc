@@ -269,11 +269,6 @@ TEST(RuntimeUdp, ValidationRejectsNonsense) {
   RuntimeConfig no_reuse = UdpRuntime();
   no_reuse.ingress.num_net_workers = 2;
   EXPECT_THROW(Persephone{no_reuse}, std::invalid_argument);
-
-  // The ring-mode net-worker knob in udp mode.
-  RuntimeConfig mixed = UdpRuntime();
-  mixed.ingress.dedicated_net_worker = true;
-  EXPECT_THROW(Persephone{mixed}, std::invalid_argument);
 }
 
 TEST(RuntimeUdp, RestartsCleanly) {

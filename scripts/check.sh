@@ -5,7 +5,8 @@
 #   thread            - Debug build with PSP_SANITIZE=thread (TSan), run over
 #                       the concurrency-bearing tests: the threaded runtime
 #                       (dispatcher + workers + the telemetry sampler thread),
-#                       channels, rings, NIC and the telemetry subsystem.
+#                       channels, rings, NIC, the telemetry subsystem and
+#                       the single-writer counters.
 #   bench             - tier-2: Release build of the self-gating benches,
 #                       each run at its defaults, any non-zero exit fatal:
 #                       micro_sim_engine (paired speedup over the legacy
@@ -139,10 +140,11 @@ run_thread() {
   # The threaded-runtime tests exercise every cross-thread surface: SPSC
   # channels, the NIC rings, worker completion signalling, and the
   # time-series sampler thread closing intervals while the dispatcher
-  # records. Single-threaded sim/bench tests add nothing under TSan.
+  # records, and the single-writer counters every engine thread publishes.
+  # Single-threaded sim/bench tests add nothing under TSan.
   TSAN_OPTIONS=halt_on_error=1 \
     ctest --test-dir "$build" --output-on-failure -j "$(nproc)" \
-      -R 'runtime_|telemetry_|introspect_|common_rings_|net_nic_|common_memory_pool_'
+      -R 'runtime_|telemetry_|introspect_|common_rings_|net_nic_|common_memory_pool_|common_single_writer_'
   TSAN_OPTIONS=halt_on_error=1 run_introspect "$build"
 }
 

@@ -62,7 +62,7 @@ DarcScheduler::DarcScheduler(const SchedulerConfig& config)
     throw std::invalid_argument(error);
   }
   free_.SetRange(0, config_.num_workers);
-  free_count_.store(config_.num_workers, std::memory_order_relaxed);
+  free_count_.Store(config_.num_workers);
   all_workers_.SetRange(0, config_.num_workers);
   const uint32_t spill =
       std::min(std::max(config_.num_spillway, 1u), config_.num_workers);
@@ -169,7 +169,7 @@ void DarcScheduler::ResizeWorkers(uint32_t new_count, Nanos now) {
     // to it (OnCompletion ignores out-of-range workers).
     free_.ClearRange(new_count, old_count);
   }
-  free_count_.store(free_.Count(), std::memory_order_relaxed);
+  free_count_.Store(free_.Count());
   if (time_ledger_ != nullptr) {
     time_ledger_->SetNumWorkers(new_count, now);
   }
@@ -242,11 +242,9 @@ DarcScheduler::EnqueueResult DarcScheduler::TryEnqueue(const Request& request,
         servers,
         static_cast<int64_t>(config_.deadline.shed_safety * 1000.0));
     if (!decision.admit) {
-      counters_.dropped.fetch_add(1, std::memory_order_relaxed);
-      deadline_counters_.shed.fetch_add(1, std::memory_order_relaxed);
-      const uint64_t sheds =
-          deadline_types_[type].shed.fetch_add(1, std::memory_order_relaxed) +
-          1;
+      counters_.dropped.Add(1);
+      deadline_counters_.shed.Add(1);
+      const uint64_t sheds = deadline_types_[type].shed.Add(1);
       if (telemetry_ != nullptr && (sheds & (sheds - 1)) == 0) {
         telemetry_->RecordEvent(
             now, "scheduler: deadline shed #" + std::to_string(sheds) +
@@ -262,16 +260,15 @@ DarcScheduler::EnqueueResult DarcScheduler::TryEnqueue(const Request& request,
   if (config_.mode == PolicyMode::kEdf) {
     pushed = edf_queue_.Push(request);
     if (pushed) {
-      deadline_types_[type].edf_depth.fetch_add(1, std::memory_order_relaxed);
+      deadline_types_[type].edf_depth.Add(1);
     } else {
-      deadline_types_[type].queue_drops.fetch_add(1,
-                                                  std::memory_order_relaxed);
+      deadline_types_[type].queue_drops.Add(1);
     }
   } else {
     pushed = queues_[type].Push(request);
   }
   if (!pushed) {
-    counters_.dropped.fetch_add(1, std::memory_order_relaxed);
+    counters_.dropped.Add(1);
     if (telemetry_ != nullptr) {
       // Rate-limited (power-of-two drop counts) so a sustained overload
       // doesn't flood the bounded event buffer.
@@ -285,9 +282,9 @@ DarcScheduler::EnqueueResult DarcScheduler::TryEnqueue(const Request& request,
     }
     return EnqueueResult::kQueueFull;
   }
-  counters_.enqueued.fetch_add(1, std::memory_order_relaxed);
+  counters_.enqueued.Add(1);
   if (request.deadline > 0) {
-    deadline_counters_.stamped.fetch_add(1, std::memory_order_relaxed);
+    deadline_counters_.stamped.Add(1);
   }
   return EnqueueResult::kOk;
 }
@@ -316,19 +313,17 @@ void DarcScheduler::FinishAssignment(Assignment* a, TypeIndex type,
         a->worker, a->stolen ? WorkerTimeState::kSteal : WorkerTimeState::kBusy,
         type, now);
   }
-  counters_.dispatched.fetch_add(1, std::memory_order_relaxed);
+  counters_.dispatched.Add(1);
   if (a->stolen) {
-    counters_.stolen_dispatches.fetch_add(1, std::memory_order_relaxed);
+    counters_.stolen_dispatches.Add(1);
   }
   profiler_.ObserveQueueingDelay(type, now - a->request.arrival);
   if (a->request.deadline > 0) {
     // Dispatch-time slack: positive = time to spare when service starts,
     // negative = already late. Exported as a sum/count gauge pair.
     TypeDeadlineStats& stats = deadline_types_[type];
-    stats.slack_sum_nanos.fetch_add(
-        static_cast<int64_t>(a->request.deadline - now),
-        std::memory_order_relaxed);
-    stats.slack_samples.fetch_add(1, std::memory_order_relaxed);
+    stats.slack_sum_nanos.Add(static_cast<int64_t>(a->request.deadline - now));
+    stats.slack_samples.Add(1);
   }
 }
 
@@ -343,8 +338,7 @@ std::optional<DarcScheduler::Assignment> DarcScheduler::DispatchEdf(
   }
   a.worker = free_.First();
   a.stolen = false;
-  deadline_types_[a.request.type].edf_depth.fetch_sub(
-      1, std::memory_order_relaxed);
+  deadline_types_[a.request.type].edf_depth.Sub(1);
   FinishAssignment(&a, a.request.type, now);
   return a;
 }
@@ -476,14 +470,14 @@ void DarcScheduler::OnCompletion(WorkerId worker, TypeIndex type,
   // Workers at or beyond num_workers were retired by ResizeWorkers while
   // running; their completion still feeds the profiler but they never
   // re-enter the free list.
-  counters_.completed.fetch_add(1, std::memory_order_relaxed);
+  counters_.completed.Add(1);
   profiler_.RecordCompletion(type, service_time);
   if (deadline > 0) {
     if (now > deadline) {
-      deadline_counters_.missed.fetch_add(1, std::memory_order_relaxed);
-      deadline_types_[type].missed.fetch_add(1, std::memory_order_relaxed);
+      deadline_counters_.missed.Add(1);
+      deadline_types_[type].missed.Add(1);
     } else {
-      deadline_counters_.met.fetch_add(1, std::memory_order_relaxed);
+      deadline_counters_.met.Add(1);
     }
   }
 
@@ -534,18 +528,14 @@ void DarcScheduler::NoteWindowRollover(Nanos now) {
 }
 
 void DarcScheduler::ExportTelemetry(TelemetrySnapshot* out) const {
-  out->counters["scheduler.enqueued"] +=
-      counters_.enqueued.load(std::memory_order_relaxed);
-  out->counters["scheduler.dropped"] +=
-      counters_.dropped.load(std::memory_order_relaxed);
-  out->counters["scheduler.dispatched"] +=
-      counters_.dispatched.load(std::memory_order_relaxed);
-  out->counters["scheduler.completed"] +=
-      counters_.completed.load(std::memory_order_relaxed);
+  out->counters["scheduler.enqueued"] += counters_.enqueued.Load();
+  out->counters["scheduler.dropped"] += counters_.dropped.Load();
+  out->counters["scheduler.dispatched"] += counters_.dispatched.Load();
+  out->counters["scheduler.completed"] += counters_.completed.Load();
   out->counters["scheduler.reservation_updates"] +=
-      counters_.reservation_updates.load(std::memory_order_relaxed);
+      counters_.reservation_updates.Load();
   out->counters["scheduler.stolen_dispatches"] +=
-      counters_.stolen_dispatches.load(std::memory_order_relaxed);
+      counters_.stolen_dispatches.Load();
   out->gauges["scheduler.idle_workers"] = idle_workers();
   out->gauges["scheduler.darc_active"] =
       darc_active_.load(std::memory_order_relaxed) ? 1 : 0;
@@ -573,15 +563,12 @@ void DarcScheduler::ExportTelemetry(TelemetrySnapshot* out) const {
     for (TypeIndex t = 0; t < names_.size(); ++t) {
       const TypeDeadlineStats& stats = deadline_types_[t];
       const std::string prefix = "deadline.type." + names_[t];
-      out->counters[prefix + ".missed"] +=
-          stats.missed.load(std::memory_order_relaxed);
-      out->counters[prefix + ".shed"] +=
-          stats.shed.load(std::memory_order_relaxed);
+      out->counters[prefix + ".missed"] += stats.missed.Load();
+      out->counters[prefix + ".shed"] += stats.shed.Load();
       out->gauges[prefix + ".budget_ns"] = deadline_targets_[t];
-      out->gauges[prefix + ".slack_ns_sum"] =
-          stats.slack_sum_nanos.load(std::memory_order_relaxed);
-      out->gauges[prefix + ".slack_ns_count"] = static_cast<int64_t>(
-          stats.slack_samples.load(std::memory_order_relaxed));
+      out->gauges[prefix + ".slack_ns_sum"] = stats.slack_sum_nanos.Load();
+      out->gauges[prefix + ".slack_ns_count"] =
+          static_cast<int64_t>(stats.slack_samples.Load());
     }
   }
 }
@@ -611,9 +598,7 @@ void DarcScheduler::ApplyReservation(Reservation reservation, Nanos now) {
 
   reservation_ = std::move(reservation);
   darc_active_.store(true, std::memory_order_relaxed);
-  const uint64_t update_seq =
-      counters_.reservation_updates.fetch_add(1, std::memory_order_relaxed) +
-      1;
+  const uint64_t update_seq = counters_.reservation_updates.Add(1);
 
   // Per-type reserved-group core counts from the freshly applied reservation.
   std::vector<uint32_t> reserved_now(names_.size(), 0);

@@ -19,6 +19,7 @@
 #include <string>
 #include <vector>
 
+#include "src/common/single_writer.h"
 #include "src/core/profiler.h"
 #include "src/core/request.h"
 #include "src/core/reservation.h"
@@ -166,54 +167,41 @@ class DarcScheduler {
   const Profiler& profiler() const { return profiler_; }
   // Applied reservation count; cheap enough to poll (one relaxed load).
   uint64_t reservation_updates() const {
-    return counters_.reservation_updates.load(std::memory_order_relaxed);
+    return counters_.reservation_updates.Load();
   }
-  uint64_t completed() const {
-    return counters_.completed.load(std::memory_order_relaxed);
-  }
-  uint64_t dropped() const {
-    return counters_.dropped.load(std::memory_order_relaxed);
-  }
+  uint64_t completed() const { return counters_.completed.Load(); }
+  uint64_t dropped() const { return counters_.dropped.Load(); }
   uint64_t stolen_dispatches() const {
-    return counters_.stolen_dispatches.load(std::memory_order_relaxed);
+    return counters_.stolen_dispatches.Load();
   }
   uint64_t queue_drops(TypeIndex t) const {
-    return queues_[t].drops() +
-           deadline_types_[t].queue_drops.load(std::memory_order_relaxed);
+    return queues_[t].drops() + deadline_types_[t].queue_drops.Load();
   }
   size_t queue_depth(TypeIndex t) const {
     if (config_.mode == PolicyMode::kEdf) {
-      return deadline_types_[t].edf_depth.load(std::memory_order_relaxed);
+      return deadline_types_[t].edf_depth.Load();
     }
     return queues_[t].Size();
   }
   // --- Deadline tier introspection (all one relaxed load) ------------------
   uint64_t deadline_stamped() const {
-    return deadline_counters_.stamped.load(std::memory_order_relaxed);
+    return deadline_counters_.stamped.Load();
   }
-  uint64_t deadline_shed() const {
-    return deadline_counters_.shed.load(std::memory_order_relaxed);
-  }
-  uint64_t deadline_missed() const {
-    return deadline_counters_.missed.load(std::memory_order_relaxed);
-  }
-  uint64_t deadline_met() const {
-    return deadline_counters_.met.load(std::memory_order_relaxed);
-  }
+  uint64_t deadline_shed() const { return deadline_counters_.shed.Load(); }
+  uint64_t deadline_missed() const { return deadline_counters_.missed.Load(); }
+  uint64_t deadline_met() const { return deadline_counters_.met.Load(); }
   uint64_t deadline_missed_of(TypeIndex t) const {
-    return deadline_types_[t].missed.load(std::memory_order_relaxed);
+    return deadline_types_[t].missed.Load();
   }
   uint64_t deadline_shed_of(TypeIndex t) const {
-    return deadline_types_[t].shed.load(std::memory_order_relaxed);
+    return deadline_types_[t].shed.Load();
   }
   // Reserved-core count of `t`'s group, from a copy published under a mutex
   // at every reservation change — safe to call from any thread while the
   // data path runs (the live Reservation vectors are dispatcher-private).
   uint32_t reserved_workers_of(TypeIndex t) const;
   bool AllWorkersIdle() const { return idle_workers() == config_.num_workers; }
-  uint32_t idle_workers() const {
-    return free_count_.load(std::memory_order_relaxed);
-  }
+  uint32_t idle_workers() const { return free_count_.Load(); }
 
  private:
   static constexpr TypeIndex kUnknownSlot = 0;
@@ -249,49 +237,50 @@ class DarcScheduler {
                                 Nanos now);
 
   // The only two mutation paths for the free-worker bookkeeping: bitset and
-  // mirror counter move together, and the counter uses a single relaxed RMW
-  // (fetch_sub/fetch_add) instead of a load/store pair.
+  // mirror counter move together.
   void MarkWorkerBusy(WorkerId worker) {
     free_.Clear(worker);
-    free_count_.fetch_sub(1, std::memory_order_relaxed);
+    free_count_.Sub(1);
   }
   void MarkWorkerFree(WorkerId worker) {
     free_.Set(worker);
-    free_count_.fetch_add(1, std::memory_order_relaxed);
+    free_count_.Add(1);
   }
 
-  // Counters are relaxed atomics so cross-thread introspection (telemetry
-  // snapshots taken while the dispatcher runs) is race-free. All increments
-  // happen on the single scheduling thread.
-  struct AtomicCounters {
-    std::atomic<uint64_t> enqueued{0};
-    std::atomic<uint64_t> dropped{0};
-    std::atomic<uint64_t> dispatched{0};
-    std::atomic<uint64_t> completed{0};
-    std::atomic<uint64_t> reservation_updates{0};
-    std::atomic<uint64_t> stolen_dispatches{0};
+  // Every counter below has one writer, the scheduling thread (the
+  // dispatcher in the runtime, the event loop in the DES), so each update
+  // is a relaxed load plus store (src/common/single_writer.h); other
+  // threads only read them, for telemetry snapshots taken mid-run.
+  struct Counters {
+    SingleWriterCounter<uint64_t> enqueued;
+    SingleWriterCounter<uint64_t> dropped;
+    SingleWriterCounter<uint64_t> dispatched;
+    SingleWriterCounter<uint64_t> completed;
+    SingleWriterCounter<uint64_t> reservation_updates;
+    SingleWriterCounter<uint64_t> stolen_dispatches;
   };
 
-  // Deadline-tier counters, same single-writer relaxed-atomic discipline.
+  // Deadline-tier counters; writer: the scheduling thread.
   struct DeadlineCounters {
-    std::atomic<uint64_t> stamped{0};  // admitted requests carrying a deadline
-    std::atomic<uint64_t> shed{0};     // admission-control drops
-    std::atomic<uint64_t> missed{0};   // completed after their deadline
-    std::atomic<uint64_t> met{0};      // completed at or before their deadline
+    SingleWriterCounter<uint64_t> stamped;  // admitted, carrying a deadline
+    SingleWriterCounter<uint64_t> shed;     // admission-control drops
+    SingleWriterCounter<uint64_t> missed;   // completed after their deadline
+    SingleWriterCounter<uint64_t> met;      // completed by their deadline
   };
 
-  // Per-type deadline-tier state. Lives in a deque (types register
-  // dynamically and atomics are immovable). edf_depth/queue_drops stand in
-  // for the typed queues' own gauges under kEdf, where all requests share
-  // one EDF queue; slack is sampled at dispatch (deadline - now) and
-  // exported as the deadline.type.<name>.slack_ns_{sum,count} gauges.
+  // Per-type deadline-tier state; writer: the scheduling thread. Lives in a
+  // deque (types register dynamically and the counters are immovable).
+  // edf_depth/queue_drops stand in for the typed queues' own gauges under
+  // kEdf, where all requests share one EDF queue; slack is sampled at
+  // dispatch (deadline - now) and exported as the
+  // deadline.type.<name>.slack_ns_{sum,count} gauges.
   struct TypeDeadlineStats {
-    std::atomic<uint64_t> missed{0};
-    std::atomic<uint64_t> shed{0};
-    std::atomic<int64_t> slack_sum_nanos{0};
-    std::atomic<uint64_t> slack_samples{0};
-    std::atomic<uint64_t> edf_depth{0};
-    std::atomic<uint64_t> queue_drops{0};  // EDF-queue-full drops, per type
+    SingleWriterCounter<uint64_t> missed;
+    SingleWriterCounter<uint64_t> shed;
+    SingleWriterCounter<int64_t> slack_sum_nanos;
+    SingleWriterCounter<uint64_t> slack_samples;
+    SingleWriterCounter<uint64_t> edf_depth;
+    SingleWriterCounter<uint64_t> queue_drops;  // EDF-queue-full drops
   };
 
   SchedulerConfig config_;
@@ -327,8 +316,9 @@ class DarcScheduler {
   WorkerSet reserved_union_;
   // Mirror of free_.Count(), maintained at every Set/Clear site so
   // idle_workers() is one relaxed load instead of a racy bitset scan.
-  std::atomic<uint32_t> free_count_{0};
-  AtomicCounters counters_;
+  // Writer: the scheduling thread.
+  SingleWriterCounter<uint32_t> free_count_;
+  Counters counters_;
 
   // Cross-thread introspection copy of the applied reservation: per-type
   // reserved-group core counts, rewritten under the mutex by

@@ -7,18 +7,18 @@
 #define PSP_SRC_CORE_TYPED_QUEUE_H_
 
 #include <algorithm>
-#include <atomic>
 #include <cstddef>
 #include <vector>
 
+#include "src/common/single_writer.h"
 #include "src/core/request.h"
 
 namespace psp {
 
 // All mutation happens on the single scheduling thread; size_/drops_ are
-// relaxed atomics only so cross-thread introspection (telemetry snapshots,
-// the time-series gauge sampler) reads them race-free. Single-writer
-// load+store increments keep the hot path at plain-store cost (no RMW).
+// single-writer counters (src/common/single_writer.h) only so cross-thread
+// introspection (telemetry snapshots, the time-series gauge sampler) reads
+// them race-free at plain-store cost on the hot path.
 //
 // The ring starts at min(capacity, 64) slots and doubles when full, up to
 // `capacity`, so a queue that never backs up never touches (or zero-fills)
@@ -37,54 +37,52 @@ class TypedQueue {
         slots_(std::move(other.slots_)),
         head_(other.head_),
         tail_(other.tail_) {
-    size_.store(other.size_.load(std::memory_order_relaxed),
-                std::memory_order_relaxed);
-    drops_.store(other.drops_.load(std::memory_order_relaxed),
-                 std::memory_order_relaxed);
+    size_.Store(other.size_.Load());
+    drops_.Store(other.drops_.Load());
   }
 
   // Returns false (and counts a drop) when the queue is full.
   bool Push(const Request& request) {
-    const size_t size = size_.load(std::memory_order_relaxed);
+    const size_t size = size_.Load();
     if (size == ring_size_ && !GrowOrDrop()) {
       return false;
     }
     slots_[tail_] = request;
     tail_ = Next(tail_);
-    size_.store(size + 1, std::memory_order_relaxed);
+    size_.Store(size + 1);
     return true;
   }
 
   // Re-inserts a request at the head (used by preemptive policies that
   // enqueue preempted work "at the head of their respective queue", §5.1).
   bool PushFront(const Request& request) {
-    const size_t size = size_.load(std::memory_order_relaxed);
+    const size_t size = size_.Load();
     if (size == ring_size_ && !GrowOrDrop()) {
       return false;
     }
     head_ = Prev(head_);
     slots_[head_] = request;
-    size_.store(size + 1, std::memory_order_relaxed);
+    size_.Store(size + 1);
     return true;
   }
 
   bool Pop(Request* out) {
-    const size_t size = size_.load(std::memory_order_relaxed);
+    const size_t size = size_.Load();
     if (size == 0) {
       return false;
     }
     *out = slots_[head_];
     head_ = Next(head_);
-    size_.store(size - 1, std::memory_order_relaxed);
+    size_.Store(size - 1);
     return true;
   }
 
   const Request& Front() const { return slots_[head_]; }
 
   bool Empty() const { return Size() == 0; }
-  size_t Size() const { return size_.load(std::memory_order_relaxed); }
+  size_t Size() const { return size_.Load(); }
   size_t capacity() const { return capacity_; }
-  uint64_t drops() const { return drops_.load(std::memory_order_relaxed); }
+  uint64_t drops() const { return drops_.Load(); }
 
  private:
   static constexpr size_t kInitialSlots = 64;
@@ -97,7 +95,7 @@ class TypedQueue {
   // the existing requests keep their FIFO order.
   bool GrowOrDrop() {
     if (ring_size_ == capacity_) {
-      CountDrop();
+      drops_.Add(1);
       return false;
     }
     std::rotate(slots_.begin(), slots_.begin() + head_, slots_.end());
@@ -108,18 +106,13 @@ class TypedQueue {
     return true;
   }
 
-  void CountDrop() {
-    drops_.store(drops_.load(std::memory_order_relaxed) + 1,
-                 std::memory_order_relaxed);
-  }
-
   size_t capacity_;
   size_t ring_size_;  // allocated slots, <= capacity_
   std::vector<Request> slots_;
   size_t head_ = 0;
   size_t tail_ = 0;
-  std::atomic<size_t> size_{0};
-  std::atomic<uint64_t> drops_{0};
+  SingleWriterCounter<size_t> size_;
+  SingleWriterCounter<uint64_t> drops_;
 };
 
 }  // namespace psp

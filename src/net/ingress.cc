@@ -16,6 +16,10 @@ std::string IngressConfig::Validate() const {
     if (reuseport) {
       return "ingress: reuseport is a udp-mode socket option";
     }
+    if (poll != PollControlConfig{}) {
+      return "ingress: poll paces udp net workers; in ring mode the "
+             "dispatcher polls the NIC itself and reads no poll setting";
+    }
     return "";
   }
   // udp mode.

@@ -18,12 +18,12 @@
 #ifndef PSP_SRC_NET_POLL_CONTROL_H_
 #define PSP_SRC_NET_POLL_CONTROL_H_
 
-#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <string>
 #include <thread>
 
+#include "src/common/single_writer.h"
 #include "src/common/time.h"
 
 namespace psp {
@@ -52,6 +52,8 @@ struct PollControlConfig {
   // case added to a frame arriving the instant the poller goes to sleep.
   Nanos wakeup_budget = 100 * kMicrosecond;
 
+  bool operator==(const PollControlConfig&) const = default;
+
   // Empty string = valid; otherwise a description of the misconfiguration.
   std::string Validate() const {
     if (policy != PollPolicy::kAdaptive) {
@@ -73,7 +75,8 @@ struct PollControlConfig {
 };
 
 // One controller per poll loop (single caller thread); the sleep counters are
-// atomics so telemetry snapshots can read them from other threads mid-run.
+// single-writer counters (writer: that caller) so telemetry snapshots can
+// read them from other threads mid-run.
 class PollController {
  public:
   explicit PollController(const PollControlConfig& config) : config_(config) {}
@@ -101,9 +104,8 @@ class PollController {
           next_sleep_ = config_.min_sleep;
         }
         std::this_thread::sleep_for(std::chrono::nanoseconds(next_sleep_));
-        sleeps_.fetch_add(1, std::memory_order_relaxed);
-        slept_nanos_.fetch_add(static_cast<uint64_t>(next_sleep_),
-                               std::memory_order_relaxed);
+        sleeps_.Add(1);
+        slept_nanos_.Add(static_cast<uint64_t>(next_sleep_));
         next_sleep_ = next_sleep_ < config_.wakeup_budget / 2
                           ? next_sleep_ * 2
                           : config_.wakeup_budget;
@@ -113,18 +115,16 @@ class PollController {
 
   // The sleep the *next* idle round beyond the streak would take (test hook).
   Nanos next_sleep() const { return next_sleep_; }
-  uint64_t sleeps() const { return sleeps_.load(std::memory_order_relaxed); }
-  Nanos slept_nanos() const {
-    return static_cast<Nanos>(slept_nanos_.load(std::memory_order_relaxed));
-  }
+  uint64_t sleeps() const { return sleeps_.Load(); }
+  Nanos slept_nanos() const { return static_cast<Nanos>(slept_nanos_.Load()); }
   const PollControlConfig& config() const { return config_; }
 
  private:
   PollControlConfig config_;
   uint32_t idle_streak_ = 0;
   Nanos next_sleep_ = 0;
-  std::atomic<uint64_t> sleeps_{0};
-  std::atomic<uint64_t> slept_nanos_{0};
+  SingleWriterCounter<uint64_t> sleeps_;
+  SingleWriterCounter<uint64_t> slept_nanos_;
 };
 
 }  // namespace psp

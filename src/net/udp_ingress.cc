@@ -2,6 +2,7 @@
 
 #include <arpa/inet.h>
 #include <algorithm>
+#include <cassert>
 #include <cerrno>
 #include <cstring>
 #include <ctime>
@@ -40,8 +41,9 @@ UdpIngress::UdpIngress(const IngressConfig& config, size_t ring_depth,
   for (auto& shard : shards_) {
     shard.ring = std::make_unique<SpscRing<PacketRef>>(ring_depth_);
     shard.poller = std::make_unique<PollController>(config_.poll);
-    shard.rx = std::make_unique<std::atomic<uint64_t>>(0);
+    shard.rx = std::make_unique<RxCounters>();
   }
+  tx_ = std::make_unique<TxCounters[]>(kMaxTxQueues);
 }
 
 UdpIngress::~UdpIngress() { Close(); }
@@ -111,6 +113,7 @@ void UdpIngress::RunNetWorker(uint32_t shard_index,
                               const std::atomic<bool>& stop) {
   Shard& shard = shards_[shard_index];
   PollController& poller = *shard.poller;
+  RxCounters& rx = *shard.rx;
   BufferCache cache(pool_);
 
   // Datagram capacity per buffer: the frame must also hold the synthesized
@@ -186,7 +189,7 @@ void UdpIngress::RunNetWorker(uint32_t shard_index,
         std::memcpy(&magic, buf + kRequestOffset, sizeof(magic));
       }
       if (truncated || len < sizeof(PspHeader) || magic != PspHeader::kMagic) {
-        rx_malformed_.fetch_add(1, std::memory_order_relaxed);
+        rx.malformed.Add(1);
         bufs[kept++] = buf;  // reuse the slot next round
         continue;
       }
@@ -200,17 +203,16 @@ void UdpIngress::RunNetWorker(uint32_t shard_index,
           buf, static_cast<uint32_t>(len), flow,
           static_cast<uint16_t>(shard_index));
       if (frame_len == 0) {
-        rx_malformed_.fetch_add(1, std::memory_order_relaxed);
+        rx.malformed.Add(1);
         bufs[kept++] = buf;
         continue;
       }
 
       PacketRef pkt{buf, frame_len, TscClock::Global().Now(), 0};
       if (shard.ring->TryPush(pkt)) {
-        rx_datagrams_.fetch_add(1, std::memory_order_relaxed);
-        shard.rx->fetch_add(1, std::memory_order_relaxed);
+        rx.datagrams.Add(1);
       } else {
-        ring_full_drops_.fetch_add(1, std::memory_order_relaxed);
+        rx.ring_full_drops.Add(1);
         bufs[kept++] = buf;
       }
     }
@@ -224,13 +226,10 @@ void UdpIngress::RunNetWorker(uint32_t shard_index,
   for (std::byte* buf : bufs) {
     cache.Free(buf);
   }
-  net_cpu_nanos_.fetch_add(
-      static_cast<uint64_t>(ThreadClockNanos(CLOCK_THREAD_CPUTIME_ID) -
-                            cpu_start),
-      std::memory_order_relaxed);
-  net_wall_nanos_.fetch_add(
-      static_cast<uint64_t>(ThreadClockNanos(CLOCK_MONOTONIC) - wall_start),
-      std::memory_order_relaxed);
+  rx.cpu_nanos.Add(static_cast<uint64_t>(
+      ThreadClockNanos(CLOCK_THREAD_CPUTIME_ID) - cpu_start));
+  rx.wall_nanos.Add(
+      static_cast<uint64_t>(ThreadClockNanos(CLOCK_MONOTONIC) - wall_start));
 }
 
 size_t UdpIngress::PollBurst(PacketRef* out, size_t max_n) {
@@ -252,7 +251,10 @@ void UdpIngress::IdleHint() {
 
 size_t UdpIngress::SendBurst(const PacketRef* frames, size_t n,
                              uint32_t queue) {
-  (void)queue;  // the shard tag inside each frame names the TX socket
+  // The shard tag inside each frame names the TX socket; `queue` names the
+  // calling thread's counters.
+  assert(queue < kMaxTxQueues);
+  TxCounters& tx = tx_[std::min(queue, kMaxTxQueues - 1)];
   size_t i = 0;
   while (i < n) {
     // Batch a run of frames bound for the same shard socket into one
@@ -308,11 +310,11 @@ size_t UdpIngress::SendBurst(const PacketRef* frames, size_t n,
       }
     }
 #endif
-    tx_batches_.fetch_add(1, std::memory_order_relaxed);
-    tx_datagrams_.fetch_add(sent_ok, std::memory_order_relaxed);
+    tx.batches.Add(1);
+    tx.datagrams.Add(sent_ok);
     // A kernel-refused datagram is counted in tx_drops, not retried; either
     // way this sink owns every frame handed to it.
-    tx_drops_.fetch_add(run - sent_ok, std::memory_order_relaxed);
+    tx.drops.Add(run - sent_ok);
     for (size_t j = 0; j < run; ++j) {
       pool_->FreeGlobal(frames[i + j].data);
     }
@@ -323,20 +325,23 @@ size_t UdpIngress::SendBurst(const PacketRef* frames, size_t n,
 
 UdpIngressStats UdpIngress::stats() const {
   UdpIngressStats s;
-  s.rx_datagrams = rx_datagrams_.load(std::memory_order_relaxed);
-  s.rx_malformed = rx_malformed_.load(std::memory_order_relaxed);
-  s.ring_full_drops = ring_full_drops_.load(std::memory_order_relaxed);
-  s.tx_datagrams = tx_datagrams_.load(std::memory_order_relaxed);
-  s.tx_batches = tx_batches_.load(std::memory_order_relaxed);
-  s.tx_drops = tx_drops_.load(std::memory_order_relaxed);
   s.rx_per_shard.reserve(shards_.size());
   for (const auto& shard : shards_) {
+    const RxCounters& rx = *shard.rx;
+    s.rx_datagrams += rx.datagrams.Load();
+    s.rx_malformed += rx.malformed.Load();
+    s.ring_full_drops += rx.ring_full_drops.Load();
+    s.net_cpu_nanos += rx.cpu_nanos.Load();
+    s.net_wall_nanos += rx.wall_nanos.Load();
+    s.rx_per_shard.push_back(rx.datagrams.Load());
     s.sleeps += shard.poller->sleeps();
     s.slept_nanos += static_cast<uint64_t>(shard.poller->slept_nanos());
-    s.rx_per_shard.push_back(shard.rx->load(std::memory_order_relaxed));
   }
-  s.net_cpu_nanos = net_cpu_nanos_.load(std::memory_order_relaxed);
-  s.net_wall_nanos = net_wall_nanos_.load(std::memory_order_relaxed);
+  for (uint32_t q = 0; q < kMaxTxQueues; ++q) {
+    s.tx_datagrams += tx_[q].datagrams.Load();
+    s.tx_batches += tx_[q].batches.Load();
+    s.tx_drops += tx_[q].drops.Load();
+  }
   return s;
 }
 

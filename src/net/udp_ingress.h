@@ -29,6 +29,7 @@
 #include <vector>
 
 #include "src/common/memory_pool.h"
+#include "src/common/single_writer.h"
 #include "src/common/spsc_ring.h"
 #include "src/net/ingress.h"
 #include "src/net/packet.h"
@@ -88,22 +89,44 @@ class UdpIngress final : public IngressSource, public EgressSink {
   void IdleHint() override;
   const char* Name() const override { return "udp"; }
 
-  // EgressSink (worker side, thread-safe): routes each response out the
-  // shard socket its request arrived on and releases the buffer. Always
-  // takes ownership of all n frames — a kernel-refused datagram is counted
-  // in tx_drops, not retried.
+  // EgressSink (worker side): routes each response out the shard socket its
+  // request arrived on and releases the buffer. Threads may call it
+  // concurrently, one thread per `queue` (< 257): each queue's counters have
+  // that thread as their one writer. Always takes ownership of all n frames
+  // — a kernel-refused datagram is counted in tx_drops, not retried.
   size_t SendBurst(const PacketRef* frames, size_t n, uint32_t queue) override;
 
   UdpIngressStats stats() const;
 
  private:
+  // TX contexts SendBurst accepts: queue 0 plus one per runtime worker, up
+  // to kMaxWorkers (src/core/worker_set.h; psp_net sits below psp_core).
+  static constexpr uint32_t kMaxTxQueues = 256 + 1;
+
+  // One shard's receive-side counters. Writer: that shard's net worker.
+  // Cache-line aligned, so shards never write to a shared line.
+  struct alignas(64) RxCounters {
+    SingleWriterCounter<uint64_t> datagrams;
+    SingleWriterCounter<uint64_t> malformed;
+    SingleWriterCounter<uint64_t> ring_full_drops;
+    SingleWriterCounter<uint64_t> cpu_nanos;
+    SingleWriterCounter<uint64_t> wall_nanos;
+  };
+  // One TX queue's counters. Writer: the one thread that sends on that
+  // queue (runtime worker w sends on queue w + 1). Cache-line aligned, so
+  // workers never write to a shared line.
+  struct alignas(64) TxCounters {
+    SingleWriterCounter<uint64_t> datagrams;
+    SingleWriterCounter<uint64_t> batches;
+    SingleWriterCounter<uint64_t> drops;
+  };
+
   struct Shard {
     int fd = -1;
     std::unique_ptr<SpscRing<PacketRef>> ring;
     std::unique_ptr<PollController> poller;
-    // unique_ptr keeps Shard movable for shards_.resize(); a bare atomic
-    // member would delete the move constructor.
-    std::unique_ptr<std::atomic<uint64_t>> rx;
+    // unique_ptr keeps Shard movable for shards_.resize().
+    std::unique_ptr<RxCounters> rx;
   };
 
   IngressConfig config_;
@@ -111,18 +134,10 @@ class UdpIngress final : public IngressSource, public EgressSink {
   MemoryPool* pool_;
   bool yield_on_idle_;
   std::vector<Shard> shards_;
+  std::unique_ptr<TxCounters[]> tx_;  // kMaxTxQueues, indexed by queue
   uint16_t port_ = 0;
   uint32_t listen_addr_host_ = 0;  // resolved listen address, host order
   size_t next_shard_ = 0;          // PollBurst fan-in cursor (dispatcher only)
-
-  std::atomic<uint64_t> rx_datagrams_{0};
-  std::atomic<uint64_t> rx_malformed_{0};
-  std::atomic<uint64_t> ring_full_drops_{0};
-  std::atomic<uint64_t> tx_datagrams_{0};
-  std::atomic<uint64_t> tx_batches_{0};
-  std::atomic<uint64_t> tx_drops_{0};
-  std::atomic<uint64_t> net_cpu_nanos_{0};
-  std::atomic<uint64_t> net_wall_nanos_{0};
 };
 
 }  // namespace psp

@@ -122,8 +122,8 @@ Persephone::Persephone(RuntimeConfig config) : config_(std::move(config)) {
   channels_.reserve(config_.num_workers);
   for (uint32_t w = 0; w < config_.num_workers; ++w) {
     channels_.push_back(std::make_unique<WorkerChannel>(config_.channel_depth));
-    worker_requests_.push_back(std::make_unique<std::atomic<uint64_t>>(0));
   }
+  worker_counters_ = std::make_unique<WorkerCounters[]>(config_.num_workers);
   // Wire the ingress/egress seam for the configured mode (see the member
   // comment in the header for the map).
   if (config_.ingress.mode == IngressMode::kUdp) {
@@ -335,8 +335,10 @@ TelemetrySnapshot Persephone::telemetry_snapshot() const {
   // exporter reports one busy time; see docs/OBSERVABILITY.md.
   for (uint32_t w = 0; w < config_.num_workers; ++w) {
     const std::string prefix = "worker." + std::to_string(w);
-    snap.counters[prefix + ".requests"] +=
-        worker_requests_[w]->load(std::memory_order_relaxed);
+    const WorkerCounters& counters = worker_counters_[w];
+    snap.counters[prefix + ".requests"] += counters.requests.Load();
+    snap.counters[prefix + ".egress_sends"] += counters.egress_sends.Load();
+    snap.counters[prefix + ".egress_nanos"] += counters.egress_nanos.Load();
     const WorkerTimeRecord& record = snap.worker_time[w];
     const uint64_t wall = record.WallNs();
     snap.gauges[prefix + ".busy_nanos"] =
@@ -700,7 +702,7 @@ void Persephone::WorkerLoop(uint32_t worker_id) {
   }
   const TscClock& clock = TscClock::Global();
   WorkerChannel& channel = *channels_[worker_id];
-  std::atomic<uint64_t>& requests = *worker_requests_[worker_id];
+  WorkerCounters& counters = worker_counters_[worker_id];
   // The scheduler (dispatcher thread) owns this worker's ledger slot; the
   // packed state word is what tags this thread's profile samples.
   ScopedProfileThread profiled(
@@ -734,28 +736,44 @@ void Persephone::WorkerLoop(uint32_t worker_id) {
             : 0;
     const uint32_t response_len = handlers_[order.type](
         request_payload, request_payload_len, response_area, capacity);
+    // Service is handler time only: the clock read that stamps kHandlerEnd
+    // ends it, so the profiler's per-type means match the traced spans and
+    // the DES's service times, which carry no egress.
+    const Nanos handler_end = clock.Now();
+    const Nanos service = handler_end - start;
     if (order.trace.sampled != 0) {
-      order.trace.Mark(TraceStage::kHandlerEnd, clock.Now());
+      order.trace.Mark(TraceStage::kHandlerEnd, handler_end);
     }
-
     const uint32_t frame_len = FormatResponseInPlace(frame, response_len);
+
+    // Signal completion before the egress send (§4.3.4): the dispatcher's
+    // drain, Algorithm 1 and the next order push then overlap the send
+    // syscall instead of waiting for it.
+    CompletionSignal signal{order.request_id, order.type, order.arrival,
+                            service, order.deadline};
+    const bool pushed = channel.PushCompletion(signal);
+    assert(pushed);
+    (void)pushed;
+
+    const Nanos egress_start = clock.Now();
     if (order.trace.sampled != 0) {
       // Echo the server's rx/tx stamps onto the wire BEFORE the frame leaves
       // (the egress sink may hand the buffer to the kernel immediately), so
       // the client can decompose its RTT into wire time and server sojourn.
-      const Nanos tx_now = clock.Now();
-      order.trace.Mark(TraceStage::kTx, tx_now);
+      order.trace.Mark(TraceStage::kTx, egress_start);
       StampServerTimestamps(
           frame, order.trace.stamp[static_cast<size_t>(TraceStage::kRx)],
-          tx_now);
+          egress_start);
     }
     const PacketRef response{frame, frame_len};
     if (egress_sink_->SendBurst(&response, 1, worker_id + 1) == 0) {
       // Egress full (client not draining): release the buffer.
       pool_->FreeGlobal(frame);
     }
-    const Nanos service = clock.Now() - start;
-    requests.fetch_add(1, std::memory_order_relaxed);
+    counters.egress_nanos.Add(
+        static_cast<uint64_t>(clock.Now() - egress_start));
+    counters.egress_sends.Add(1);
+    counters.requests.Add(1);
     if (order.trace.sampled != 0) {
       // Commit the completed lifecycle record into this worker's ring.
       RequestTrace record;
@@ -768,15 +786,9 @@ void Persephone::WorkerLoop(uint32_t worker_id) {
       telemetry_->ring(worker_id).Push(record);
       if (outliers_) {
         // Sampled records only, so the mutex inside is touched 1-in-N times.
-        outliers_->Offer(record, start + service);
+        outliers_->Offer(record, handler_end);
       }
     }
-
-    CompletionSignal signal{order.request_id, order.type, order.arrival,
-                            service, order.deadline};
-    const bool pushed = channel.PushCompletion(signal);
-    assert(pushed);
-    (void)pushed;
   }
 }
 

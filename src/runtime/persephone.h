@@ -10,8 +10,8 @@
 //   * exactly one dispatcher thread: polls NIC RX, parses + classifies,
 //     enqueues into typed queues, runs Algorithm 1, pushes work orders;
 //   * N application worker threads: pop orders, invoke the registered
-//     handler, format the response into the same buffer (zero-copy), TX via
-//     their private network context, signal completion.
+//     handler, format the response into the same buffer (zero-copy), signal
+//     completion, then TX via their private network context.
 #ifndef PSP_SRC_RUNTIME_PERSEPHONE_H_
 #define PSP_SRC_RUNTIME_PERSEPHONE_H_
 
@@ -24,6 +24,7 @@
 #include <vector>
 
 #include "src/common/memory_pool.h"
+#include "src/common/single_writer.h"
 #include "src/core/classifier.h"
 #include "src/core/scheduler.h"
 #include "src/introspect/admin.h"
@@ -205,9 +206,16 @@ class Persephone {
   std::atomic<bool> running_{false};
   std::atomic<bool> stop_{false};
 
-  // Requests each worker served (worker.N.requests); the worker is the
-  // only writer. Busy time comes from time_ledger_.
-  std::vector<std::unique_ptr<std::atomic<uint64_t>>> worker_requests_;
+  // Per-worker counters (worker.N.*). Writer: worker N. Cache-line
+  // aligned, so workers never write to a shared line. Busy time comes from
+  // time_ledger_; egress time is outside it (the completion signal precedes
+  // the send).
+  struct alignas(64) WorkerCounters {
+    SingleWriterCounter<uint64_t> requests;      // requests served
+    SingleWriterCounter<uint64_t> egress_sends;  // SendBurst calls
+    SingleWriterCounter<uint64_t> egress_nanos;  // wall time inside them
+  };
+  std::unique_ptr<WorkerCounters[]> worker_counters_;  // num_workers
 
   // Registry-owned counters resolved once at construction; completed/dropped
   // live in the scheduler (single source of truth, no double counting).

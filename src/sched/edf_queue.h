@@ -22,17 +22,17 @@
 // the replay goldens rely on.
 //
 // Single-writer discipline mirrors TypedQueue: all mutation happens on the
-// scheduling thread; size/drops are relaxed atomics only so cross-thread
-// telemetry snapshots read them race-free.
+// scheduling thread; size/drops are single-writer counters only so
+// cross-thread telemetry snapshots read them race-free.
 #ifndef PSP_SRC_SCHED_EDF_QUEUE_H_
 #define PSP_SRC_SCHED_EDF_QUEUE_H_
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
 
 #include "src/common/ffs_bitmap.h"
+#include "src/common/single_writer.h"
 #include "src/core/request.h"
 
 namespace psp {
@@ -51,10 +51,9 @@ class EdfQueue {
   // Enqueues by absolute deadline; false (and a counted drop) when the queue
   // is at capacity. Requests with deadline 0 park in the horizon bucket.
   bool Push(const Request& request) {
-    const size_t size = size_.load(std::memory_order_relaxed);
+    const size_t size = size_.Load();
     if (size == capacity_) {
-      drops_.store(drops_.load(std::memory_order_relaxed) + 1,
-                   std::memory_order_relaxed);
+      drops_.Add(1);
       return false;
     }
     // Re-anchor an empty ring at the incoming *arrival* so the window tracks
@@ -77,7 +76,7 @@ class EdfQueue {
     const uint32_t slot = static_cast<uint32_t>(tick) & (kBuckets - 1);
     buckets_[slot].push_back(request);
     occupied_.Set(slot);
-    size_.store(size + 1, std::memory_order_relaxed);
+    size_.Store(size + 1);
     return true;
   }
 
@@ -85,7 +84,7 @@ class EdfQueue {
   // empty. Advances the cursor to the popped bucket's tick, so the window
   // invariant holds for subsequent pushes.
   bool PopEarliest(Request* out) {
-    const size_t size = size_.load(std::memory_order_relaxed);
+    const size_t size = size_.Load();
     if (size == 0) {
       return false;
     }
@@ -99,7 +98,7 @@ class EdfQueue {
     // Commit the cursor to the popped bucket so the ring window stays
     // anchored at the earliest live deadline.
     cursor_ = AbsoluteTickOf(slot);
-    size_.store(size - 1, std::memory_order_relaxed);
+    size_.Store(size - 1);
     return true;
   }
 
@@ -113,8 +112,8 @@ class EdfQueue {
   }
 
   bool Empty() const { return Size() == 0; }
-  size_t Size() const { return size_.load(std::memory_order_relaxed); }
-  uint64_t drops() const { return drops_.load(std::memory_order_relaxed); }
+  size_t Size() const { return size_.Load(); }
+  uint64_t drops() const { return drops_.Load(); }
   Nanos bucket_width() const { return Nanos{1} << bucket_shift_; }
 
  private:
@@ -160,8 +159,8 @@ class EdfQueue {
   std::vector<std::vector<Request>> buckets_;
   FfsBitmap<kBuckets> occupied_;
   uint64_t cursor_ = 0;   // absolute tick of the earliest live bucket
-  std::atomic<size_t> size_{0};
-  std::atomic<uint64_t> drops_{0};
+  SingleWriterCounter<size_t> size_;
+  SingleWriterCounter<uint64_t> drops_;
 };
 
 }  // namespace psp

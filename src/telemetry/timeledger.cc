@@ -118,14 +118,13 @@ void WorkerTimeLedger::Transition(uint32_t slot_id, WorkerTimeState state,
   const Nanos span = now > since ? now - since : 0;
   if (span > 0) {
     const WorkerTimeState prev_state = UnpackState(prev);
-    slot.accum[static_cast<size_t>(prev_state)].fetch_add(
-        static_cast<uint64_t>(span), std::memory_order_relaxed);
+    slot.accum[static_cast<size_t>(prev_state)].Add(
+        static_cast<uint64_t>(span));
     if (prev_state == WorkerTimeState::kBusy ||
         prev_state == WorkerTimeState::kSteal) {
       const uint32_t prev_type = UnpackType(prev);
       if (prev_type < kMaxLedgerTypes) {
-        slot.type_ns[prev_type].fetch_add(static_cast<uint64_t>(span),
-                                          std::memory_order_relaxed);
+        slot.type_ns[prev_type].Add(static_cast<uint64_t>(span));
       }
     }
   }
@@ -138,8 +137,8 @@ void WorkerTimeLedger::Add(uint32_t slot_id, WorkerTimeState state,
   if (slot_id >= capacity_ || span <= 0) {
     return;
   }
-  slots_[slot_id].accum[static_cast<size_t>(state)].fetch_add(
-      static_cast<uint64_t>(span), std::memory_order_relaxed);
+  slots_[slot_id].accum[static_cast<size_t>(state)].Add(
+      static_cast<uint64_t>(span));
 }
 
 void WorkerTimeLedger::AccountSpan(uint32_t slot_id, WorkerTimeState state,
@@ -151,8 +150,7 @@ void WorkerTimeLedger::AccountSpan(uint32_t slot_id, WorkerTimeState state,
   const Nanos since = slot.since.load(std::memory_order_relaxed);
   const Nanos span = now > since ? now - since : 0;
   if (span > 0) {
-    slot.accum[static_cast<size_t>(state)].fetch_add(
-        static_cast<uint64_t>(span), std::memory_order_relaxed);
+    slot.accum[static_cast<size_t>(state)].Add(static_cast<uint64_t>(span));
   }
   slot.since.store(now, std::memory_order_relaxed);
   slot.packed.store(Pack(state, kUntyped), std::memory_order_relaxed);
@@ -180,10 +178,10 @@ void WorkerTimeLedger::FillRecord(const Slot& slot, uint32_t index,
   out->role = role;
   std::array<uint64_t, kMaxLedgerTypes> type_totals{};
   for (size_t s = 0; s < kNumWorkerTimeStates; ++s) {
-    out->state_ns[s] = slot.accum[s].load(std::memory_order_relaxed);
+    out->state_ns[s] = slot.accum[s].Load();
   }
   for (size_t t = 0; t < kMaxLedgerTypes; ++t) {
-    type_totals[t] = slot.type_ns[t].load(std::memory_order_relaxed);
+    type_totals[t] = slot.type_ns[t].Load();
   }
   const uint8_t remainder = slot.remainder_state.load(std::memory_order_relaxed);
   const Nanos opened = slot.opened_at.load(std::memory_order_relaxed);

@@ -31,6 +31,7 @@
 #include <utility>
 #include <vector>
 
+#include "src/common/single_writer.h"
 #include "src/common/time.h"
 
 namespace psp {
@@ -158,9 +159,13 @@ class WorkerTimeLedger {
                                                const TypeNamer& namer) const;
 
  private:
+  // Writer of every field: the slot's one writer (the scheduling thread
+  // for worker slots, the dispatcher loop or the DES event loop for the
+  // dispatcher pseudo-slot). The accumulators are single-writer counters:
+  // a relaxed load plus store per span, no locked read-modify-write.
   struct alignas(64) Slot {
-    std::array<std::atomic<uint64_t>, kNumWorkerTimeStates> accum{};
-    std::array<std::atomic<uint64_t>, kMaxLedgerTypes> type_ns{};
+    std::array<SingleWriterCounter<uint64_t>, kNumWorkerTimeStates> accum;
+    std::array<SingleWriterCounter<uint64_t>, kMaxLedgerTypes> type_ns;
     std::atomic<int64_t> since{0};
     std::atomic<int64_t> opened_at{-1};
     std::atomic<uint32_t> packed{0};

@@ -244,7 +244,9 @@ TEST(ExporterAgreement, RingRuntimeWithDeadlineTier) {
 }
 
 // worker.N.busy_nanos and the time ledger are one busy time: the gauge is
-// the ledger's busy + steal for that worker, in the same snapshot.
+// the ledger's busy + steal for that worker, in the same snapshot. The
+// egress counters beside it count one send per served request, and all of
+// them render through the worker fold on /metrics.
 TEST(ExporterAgreement, RingRuntimeWorkerBusyIsTheLedgerBusy) {
   RuntimeConfig config;
   config.num_workers = 2;
@@ -268,16 +270,29 @@ TEST(ExporterAgreement, RingRuntimeWorkerBusyIsTheLedgerBusy) {
   const TelemetrySnapshot snap = server.telemetry_snapshot();
   ASSERT_EQ(snap.worker_time.size(), config.num_workers + 1u);
   uint64_t total_busy = 0;
+  uint64_t total_sends = 0;
   for (uint32_t w = 0; w < config.num_workers; ++w) {
-    const std::string name = "worker." + std::to_string(w) + ".busy_nanos";
+    const std::string prefix = "worker." + std::to_string(w);
+    const std::string name = prefix + ".busy_nanos";
     ASSERT_TRUE(snap.gauges.count(name)) << name;
     total_busy += snap.worker_time[w].BusyNs();
     EXPECT_EQ(snap.gauges.at(name),
               static_cast<int64_t>(snap.worker_time[w].BusyNs()))
         << name;
+    ASSERT_TRUE(snap.counters.count(prefix + ".egress_sends")) << prefix;
+    ASSERT_TRUE(snap.counters.count(prefix + ".egress_nanos")) << prefix;
+    const uint64_t sends = snap.counter(prefix + ".egress_sends");
+    EXPECT_EQ(sends, snap.counter(prefix + ".requests")) << prefix;
+    EXPECT_EQ(sends > 0, snap.counter(prefix + ".egress_nanos") > 0) << prefix;
+    total_sends += sends;
   }
   EXPECT_GT(total_busy, 0u);
+  EXPECT_EQ(total_sends, snap.counter("scheduler.completed"));
   ExpectExportersAgree(snap);
+  const std::set<std::string> lines = LineSet(RenderPrometheusText(snap));
+  EXPECT_TRUE(lines.count(
+      "psp_worker_egress_sends_total{worker=\"0\"} " +
+      std::to_string(snap.counter("worker.0.egress_sends"))));
 }
 
 TEST(ExporterAgreement, SimulatedEdfRun) {

@@ -112,6 +112,13 @@ TEST(IngressConfig, RejectsNonsenseCombos) {
   config.num_net_workers = 1;
   config.reuseport = true;  // udp-only knob
   EXPECT_FALSE(config.Validate().empty());
+  config.reuseport = false;
+  config.poll.policy = PollPolicy::kAdaptive;  // udp-only knob, valid alone
+  ASSERT_TRUE(config.poll.Validate().empty());
+  EXPECT_FALSE(config.Validate().empty());
+  config.poll.policy = PollPolicy::kYield;
+  config.poll.wakeup_budget = 50 * kMicrosecond;  // any non-default setting
+  EXPECT_FALSE(config.Validate().empty());
 
   IngressConfig udp;
   udp.mode = IngressMode::kUdp;

@@ -6,10 +6,12 @@
 #include "src/runtime/persephone.h"
 
 #include <arpa/inet.h>
+#include <algorithm>
 #include <cstring>
 #include <netinet/in.h>
 #include <sys/socket.h>
 #include <unistd.h>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -91,6 +93,56 @@ TEST(RuntimeUdp, EchoesOverLoopbackEndToEnd) {
   EXPECT_EQ(snap.counter("ingress.malformed"), 0u);
   EXPECT_EQ(snap.counter("ingress.tx_drops"), 0u);
   EXPECT_EQ(snap.counter("runtime.malformed"), 0u);
+}
+
+// DARC's per-type profile is handler time, as the DES's service times are:
+// the worker reads service at handler end and signals completion before its
+// egress send, so the profiled mean carries no sendmmsg. One worker serves
+// every request in arrival order and traces each one, so replaying the
+// profiler's lifetime EWMA over the traced handler spans must reproduce its
+// mean. A service time read after the send would put the loopback syscall
+// (about 1.6 us or more per datagram) into every sample.
+TEST(RuntimeUdp, ProfiledServiceMeanExcludesEgress) {
+  constexpr uint64_t kRequests = 200;
+  RuntimeConfig config = UdpRuntime();
+  config.num_workers = 1;
+  config.telemetry.sample_every = 1;
+  config.telemetry.trace_ring_capacity = 2 * kRequests;
+  Persephone server(config);
+  const TypeIndex type =
+      server.RegisterType(1, "T", MakeSpinHandler(), FromMicros(2), 1.0);
+  server.Start();
+
+  UdpLoadGenConfig lg;
+  lg.port = server.udp_port();
+  lg.rate_rps = 2000;
+  lg.total_requests = kRequests;
+  lg.drain_timeout = 2 * kSecond;
+  UdpLoadGenerator gen({SpinSpec(1, "T", 1.0, FromMicros(2))}, lg);
+  std::string error;
+  const UdpLoadGenReport report = gen.Run(&error);
+  ASSERT_EQ(error, "");
+  server.Stop();
+  ASSERT_EQ(report.received, kRequests);
+
+  std::vector<RequestTrace> traces = server.telemetry_snapshot().traces;
+  ASSERT_EQ(traces.size(), kRequests);
+  std::sort(traces.begin(), traces.end(),
+            [](const RequestTrace& a, const RequestTrace& b) {
+              return a.request_id < b.request_id;
+            });
+  const double alpha = config.scheduler.profiler.ewma_alpha;
+  double ewma = 0;
+  for (size_t i = 0; i < traces.size(); ++i) {
+    ASSERT_EQ(traces[i].type, type);
+    const double span =
+        static_cast<double>(traces[i].At(TraceStage::kHandlerEnd) -
+                            traces[i].At(TraceStage::kHandlerStart));
+    ewma = i == 0 ? span : ewma + alpha * (span - ewma);
+  }
+  // The two sums differ only in floating-point rounding.
+  const Nanos profiled = server.scheduler().profiler().MeanServiceTime(type);
+  EXPECT_NEAR(static_cast<double>(profiled), ewma, 10.0);
 }
 
 TEST(RuntimeUdp, WireSamplingEchoesServerStampsEndToEnd) {

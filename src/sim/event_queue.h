@@ -18,6 +18,11 @@
 //     full 64-bit time range, with cascade-on-rollover pouring higher-level
 //     buckets into lower ones — O(1) amortised enqueue/dequeue whatever the
 //     pending population (see docs/PERF.md §1).
+//   * Direct run: when the rollover's bucket holds a single event, that event
+//     is the global minimum, so it runs straight from its bucket instead of
+//     cascading down level by level. Level 0 spans only 256 ns, while the
+//     paper sweeps space events microseconds apart, so most buckets above
+//     level 0 hold exactly one event.
 //
 // Ordering contract (unchanged from the seed engine, and what the
 // determinism goldens rely on): events execute in ascending (time, seq)
@@ -49,7 +54,9 @@ class Simulation {
  public:
   // Inline payload budget for a scheduled handler's captures. Big enough for
   // every engine/policy handler (this + a pointer + a few scalars; the
-  // largest today is trace replay's [this, TraceEntry, index] at 40 bytes).
+  // largest today is the fleet's dispatch decision, [this, send_time, wire,
+  // slot, service, flow_hash] at 40 bytes; trace replay captures only
+  // [this, index]).
   static constexpr size_t kEventPayloadSize =
       kEventCacheLine - sizeof(void (*)(void*));
 
@@ -126,9 +133,9 @@ class Simulation {
     // would land behind the wheel. Bounding keeps wheel_time_ <= until =
     // Now() on exit, preserving the lower-bound invariant for any follow-up
     // ScheduleAt.
-    uint64_t t;
-    while (PrepareMin(static_cast<uint64_t>(until), &t)) {
-      RunFront(t);
+    uint32_t slot;
+    while (PopMin(static_cast<uint64_t>(until), &slot)) {
+      Run(slot);
     }
     if (now_ < until) {
       now_ = until;
@@ -136,12 +143,12 @@ class Simulation {
   }
 
   // Runs until the event queue is completely drained. The unbounded peek is
-  // safe here: RunFront immediately brings now_ up to wheel_time_, so no
-  // schedule can land behind the wheel.
+  // safe here: Run immediately brings now_ up to wheel_time_, so no schedule
+  // can land behind the wheel.
   void RunToCompletion() {
-    uint64_t t;
-    while (PrepareMin(~uint64_t{0}, &t)) {
-      RunFront(t);
+    uint32_t slot;
+    while (PopMin(~uint64_t{0}, &slot)) {
+      Run(slot);
     }
   }
 
@@ -154,8 +161,10 @@ class Simulation {
   uint64_t arena_allocations() const { return arena_allocations_; }
 
   // Entries poured one level down during a bucket rollover (per-event moves).
+  // A direct run moves nothing, so it adds no cascade.
   uint64_t wheel_cascades() const { return cascades_; }
-  // Higher-level buckets cascaded (per-bucket rollover operations).
+  // Higher-level buckets cascaded (per-bucket rollover operations). A lone
+  // event run straight from its bucket is not a rollover: nothing is poured.
   uint64_t wheel_rollovers() const { return rollovers_; }
   // The wheel is the only ready queue. bench/e2e/sim.cc still reads these
   // two as the sim-figures workload's sim.backend_switches/sim.wheel_active.
@@ -271,14 +280,27 @@ class Simulation {
     }
   }
 
-  // Advances the wheel so the earliest pending event sits at the head of its
-  // exact-tick level-0 bucket, cascading higher-level buckets down as needed;
-  // returns true and writes that tick when it is <= `bound`. wheel_time_
-  // NEVER advances past `bound`: a bounded peek (RunUntil's horizon check)
-  // must not move the wheel beyond times the caller may still schedule into,
-  // or a later ScheduleAt in the gap would land behind the wheel and become
-  // undiscoverable.
-  bool PrepareMin(uint64_t bound, uint64_t* time_out) {
+  // Unlinks the head of `L`'s bucket `index`, clearing the bucket's
+  // occupancy bit when it empties.
+  uint32_t PopHead(WheelLevel& L, uint32_t index) {
+    WheelBucket& bucket = L.buckets[index];
+    const uint32_t slot = bucket.head;
+    bucket.head = nodes_[slot].next;
+    if (bucket.head == kNoSlot) {
+      bucket.tail = kNoSlot;
+      L.occupied.Clear(index);
+    }
+    return slot;
+  }
+
+  // Unlinks the earliest pending event, advancing wheel_time_ to its time,
+  // and writes its slot; returns false (unlinking nothing) when no event is
+  // due at or before `bound`. Cascades higher-level buckets down as needed.
+  // wheel_time_ NEVER advances past `bound`: a bounded peek (RunUntil's
+  // horizon check) must not move the wheel beyond times the caller may still
+  // schedule into, or a later ScheduleAt in the gap would land behind the
+  // wheel and become undiscoverable.
+  bool PopMin(uint64_t bound, uint32_t* slot_out) {
     if (pending_ == 0) {
       return false;
     }
@@ -293,12 +315,11 @@ class Simulation {
           return false;
         }
         wheel_time_ = tick;
-        *time_out = tick;
+        *slot_out = PopHead(wheel_[0], static_cast<uint32_t>(hit));
         return true;
       }
-      // Level 0 is drained: roll the first pending bucket of the lowest
-      // non-empty level over, pouring its entries one level down (they
-      // re-enqueue relative to the advanced wheel_time_).
+      // Level 0 is drained: find the first pending bucket of the lowest
+      // non-empty level.
       uint32_t level = 1;
       int bucket = -1;
       for (; level < kWheelLevels; ++level) {
@@ -311,6 +332,26 @@ class Simulation {
         }
       }
       assert(bucket >= 0 && "pending_ > 0 but every bitmap is empty");
+      WheelLevel& L = wheel_[level];
+      WheelBucket& b = L.buckets[bucket];
+      // Direct run. Every level below `level` is empty, and every other
+      // pending event sits in a later bucket of this level or at a higher
+      // level, so a lone event here (head == tail) is the global minimum.
+      // Running it straight from its bucket leaves the wheel exactly as the
+      // cascade below would, once it had poured the event down to level 0:
+      // wheel_time_ at the event's time, every other event where it was.
+      // A lone event beyond `bound`, and any bucket with more than one event,
+      // take the cascade path.
+      if (b.head == b.tail) {
+        const uint64_t time = nodes_[b.head].time;
+        if (time <= bound) {
+          wheel_time_ = time;
+          *slot_out = PopHead(L, static_cast<uint32_t>(bucket));
+          return true;
+        }
+      }
+      // Roll the bucket over, pouring its entries one level down (they
+      // re-enqueue relative to the advanced wheel_time_).
       const uint32_t shift = level * kWheelLevelBits;
       // Jump to the start of the bucket's span: keep the bytes above the
       // level, set the level's byte, zero everything below. When the bucket
@@ -327,8 +368,6 @@ class Simulation {
         return false;
       }
       wheel_time_ = jump;
-      WheelLevel& L = wheel_[level];
-      WheelBucket& b = L.buckets[bucket];
       uint32_t cur = b.head;
       b.head = kNoSlot;
       b.tail = kNoSlot;
@@ -344,20 +383,11 @@ class Simulation {
     }
   }
 
-  // Unlinks the head of the current tick's bucket and runs it. Only valid
-  // directly after PrepareMin returned true and wrote `t`.
-  void RunFront(uint64_t t) {
-    const uint32_t index = static_cast<uint32_t>(t) & (kWheelBuckets - 1);
-    WheelBucket& bucket = wheel_[0].buckets[index];
-    const uint32_t slot = bucket.head;
-    assert(slot != kNoSlot && nodes_[slot].time == t);
-    bucket.head = nodes_[slot].next;
-    if (bucket.head == kNoSlot) {
-      bucket.tail = kNoSlot;
-      wheel_[0].occupied.Clear(index);
-    }
+  // Runs the event PopMin just unlinked. wheel_time_ is that event's time.
+  void Run(uint32_t slot) {
+    assert(nodes_[slot].time == wheel_time_);
     --pending_;
-    now_ = static_cast<Nanos>(t);
+    now_ = static_cast<Nanos>(wheel_time_);
     EventSlot& s = slots_[slot];
     // The trampoline copies the captures out of the arena on entry (see
     // ScheduleAt), so scheduling from inside the handler is safe even when

@@ -1,15 +1,20 @@
 // Adversarial tests for the hierarchical timer wheel (src/sim/event_queue.h):
 // far-future horizons that land in the top levels, multi-level cascade
 // correctness, the same-tick FIFO golden, a large randomized differential
-// against an in-test sorting oracle, and the bounded-peek regression
-// (scheduling into the gap RunUntil stopped in must not land behind the
-// wheel).
+// against an in-test sorting oracle, the bounded-peek regression (scheduling
+// into the gap RunUntil stopped in must not land behind the wheel), the
+// direct run of lone events against a (time, seq) priority-queue reference,
+// and the cascades-per-event gate on a DES-shaped chain.
 #include "src/sim/event_queue.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <functional>
+#include <limits>
+#include <queue>
+#include <tuple>
 #include <vector>
 
 namespace psp {
@@ -220,6 +225,222 @@ TEST(WheelBackend, SteadyStateCascadesDoNotAllocate) {
       << "wheel path must be allocation-free in steady state";
   EXPECT_GT(sim.wheel_cascades(), cascades_before);
   EXPECT_GT(fired, kPending);
+}
+
+// A single sparse chain keeps exactly one event pending, and every re-arm is
+// at least 256 ticks out, so it lands above level 0 in a bucket of its own:
+// each one must run straight from that bucket, with nothing poured down.
+TEST(WheelBackend, LoneSparseChainRunsDirectly) {
+  Simulation sim;
+  uint64_t fired = 0;
+  sim.ScheduleAt(1, FarChain{&sim, &fired, 3 * kMicrosecond + 17});
+  sim.RunUntil(10 * kMillisecond);
+  EXPECT_GT(fired, 3000u);
+  EXPECT_EQ(sim.wheel_cascades(), 0u);
+  EXPECT_EQ(sim.wheel_rollovers(), 0u);
+}
+
+// RunUntil bounds between a lone event's bucket start and its time: the lone
+// event is beyond the bound, so nothing runs, the wheel stays at or below
+// the bound, and later schedules into the gap run in order ahead of it.
+TEST(WheelBackend, BoundInsideLoneEventsBucketStopsTheWheel) {
+  // 5 * 65536 + 1000: level 2, bucket 5 relative to tick 0; that bucket's
+  // span starts at 327680, and at level 1 the event sits in bucket 3
+  // (span start 327680 + 768).
+  constexpr Nanos kSpan = 5 * 65536;
+  constexpr Nanos kLone = kSpan + 1000;
+  Simulation sim;
+  std::vector<uint64_t> order;
+  sim.ScheduleAt(kLone, Rec{&order, 0});
+  sim.RunUntil(kSpan + 500);  // past the level-2 span start, short of level 1
+  EXPECT_TRUE(order.empty());
+  EXPECT_EQ(sim.Now(), kSpan + 500);
+  sim.ScheduleAt(kSpan + 600, Rec{&order, 1});  // same level-1 bucket gap
+  sim.ScheduleAt(kSpan + 500, Rec{&order, 2});  // at Now()
+  sim.RunUntil(kSpan + 900);  // past the level-1 span start, short of kLone
+  EXPECT_EQ(order, (std::vector<uint64_t>{2, 1}));
+  EXPECT_EQ(sim.Now(), kSpan + 900);
+  sim.ScheduleAt(kSpan + 999, Rec{&order, 3});  // same tick window as kLone
+  sim.ScheduleAt(kLone, Rec{&order, 4});        // same tick, scheduled later
+  sim.RunUntil(kLone);
+  EXPECT_EQ(order, (std::vector<uint64_t>{2, 1, 3, 0, 4}));
+  EXPECT_EQ(sim.Now(), kLone);
+  EXPECT_EQ(sim.pending_events(), 0u);
+}
+
+// Dynamic differential: handlers schedule children while they run, so a
+// child can land at Now(), inside the running event's own 256-tick window,
+// inside its level-1 span, or microseconds out in a bucket of its own, which
+// then runs directly. Partial RunUntil drains with bounds anywhere in the
+// horizon interleave external schedules into the gaps. The reference is a
+// (time, seq) priority queue run through the same process; seq is the
+// global schedule order, so both sides give every event the same id.
+class DynamicDifferential {
+ public:
+  static constexpr uint64_t kMaxEvents = 200000;
+
+  // Schedules a leaf (an event with no children) at `t` on both sides.
+  void ScheduleLeaf(Nanos t) { ScheduleBoth(t, /*leaf=*/true); }
+  // Schedules the root of a self-extending chain at `t` on both sides.
+  void ScheduleChain(Nanos t) { ScheduleBoth(t, /*leaf=*/false); }
+
+  // Runs the wheel to `until`, then the reference over the same horizon.
+  // The reference's children take the ids the wheel's children took, as
+  // long as both sides ran the same events in the same order.
+  void RunUntil(Nanos until) {
+    const uint64_t first_child = next_id_;
+    sim_.RunUntil(until);
+    reference_id_ = first_child;
+    while (!reference_.empty() && std::get<0>(reference_.top()) <= until) {
+      const auto [t, id, leaf] = reference_.top();
+      reference_.pop();
+      reference_order_.push_back(id);
+      SpawnChildren(id, t, leaf, /*on_wheel=*/false);
+    }
+  }
+
+  void RunToCompletion() { RunUntil(std::numeric_limits<Nanos>::max()); }
+
+  Simulation& sim() { return sim_; }
+  const std::vector<uint64_t>& order() const { return order_; }
+  const std::vector<uint64_t>& reference_order() const {
+    return reference_order_;
+  }
+  bool reference_empty() const { return reference_.empty(); }
+
+ private:
+  struct Node {
+    DynamicDifferential* self;
+    uint64_t id;
+    bool leaf;
+    void operator()() const {
+      self->order_.push_back(id);
+      self->SpawnChildren(id, self->sim_.Now(), leaf, /*on_wheel=*/true);
+    }
+  };
+
+  void ScheduleBoth(Nanos t, bool leaf) {
+    reference_.push({t, next_id_, leaf});
+    sim_.ScheduleAt(t, Node{this, next_id_++, leaf});
+  }
+
+  // A child scheduled from a running event: onto the wheel, or onto the
+  // reference with the id the wheel gave the same child.
+  void Schedule(Nanos t, bool leaf, bool on_wheel) {
+    if (on_wheel) {
+      sim_.ScheduleAt(t, Node{this, next_id_++, leaf});
+    } else {
+      reference_.push({t, reference_id_++, leaf});
+    }
+  }
+
+  // A chain event re-arms once, at a delay drawn from its id, and one in four
+  // also schedules a leaf within its own level-1 span. The children are a
+  // pure function of the id, so both sides spawn the same ones.
+  void SpawnChildren(uint64_t id, Nanos now, bool leaf, bool on_wheel) {
+    if (leaf || id >= kMaxEvents) {
+      return;
+    }
+    uint64_t r = (id + 1) * 0x9E3779B97F4A7C15ull;
+    r ^= r >> 29;
+    Nanos delay;
+    switch (r & 7) {
+      case 0:
+        delay = 0;  // at Now()
+        break;
+      case 1:
+        delay = static_cast<Nanos>((r >> 20) % 256);  // same 256-tick window
+        break;
+      case 2:
+        delay = static_cast<Nanos>((r >> 20) % 65536);  // level 0-1
+        break;
+      default:  // sparse: 1-500 us out, a bucket of its own
+        delay = static_cast<Nanos>(kMicrosecond +
+                                   (r >> 20) % (499 * kMicrosecond));
+        break;
+    }
+    Schedule(now + delay, /*leaf=*/false, on_wheel);
+    if (((r >> 3) & 3) == 0) {
+      Schedule(now + static_cast<Nanos>((r >> 40) % 65536), /*leaf=*/true,
+               on_wheel);
+    }
+  }
+
+  using Entry = std::tuple<Nanos, uint64_t, bool>;  // (time, seq, leaf)
+  Simulation sim_;
+  uint64_t next_id_ = 0;
+  std::vector<uint64_t> order_;
+  std::priority_queue<Entry, std::vector<Entry>, std::greater<Entry>>
+      reference_;
+  uint64_t reference_id_ = 0;
+  std::vector<uint64_t> reference_order_;
+};
+
+TEST(WheelBackend, DynamicDifferentialMatchesPriorityQueueReference) {
+  DynamicDifferential diff;
+  uint64_t lcg = 0x2545F4914F6CDD1Dull;
+  const auto next = [&lcg] {
+    lcg = lcg * 6364136223846793005ull + 1442695040888963407ull;
+    return lcg >> 16;
+  };
+  for (int i = 0; i < 32; ++i) {
+    diff.ScheduleChain(static_cast<Nanos>(next() % (200 * kMicrosecond)));
+  }
+  // Bounded drains from a few ticks to a few hundred µs, so many bounds fall
+  // between a lone event's bucket start and its time; after each, leaves are
+  // scheduled into the gap the drain left.
+  while (diff.sim().executed_events() < DynamicDifferential::kMaxEvents) {
+    const uint64_t horizon = (next() & 1) != 0 ? 300 : 300000;
+    const Nanos until = diff.sim().Now() + static_cast<Nanos>(next() % horizon);
+    diff.RunUntil(until);
+    ASSERT_EQ(diff.sim().Now(), until);
+    for (uint64_t k = next() % 3; k > 0; --k) {
+      diff.ScheduleLeaf(until + static_cast<Nanos>(next() % 2000));
+    }
+  }
+  diff.RunToCompletion();
+  EXPECT_TRUE(diff.reference_empty());
+  EXPECT_EQ(diff.sim().pending_events(), 0u);
+  ASSERT_EQ(diff.order().size(), diff.reference_order().size());
+  for (size_t i = 0; i < diff.order().size(); ++i) {
+    ASSERT_EQ(diff.order()[i], diff.reference_order()[i])
+        << "first divergence at " << i;
+  }
+}
+
+// The DES shape: 32 self-rescheduling handlers (arrivals, completions,
+// dispatch decisions), each re-arming 1-500 µs out. Level 0 spans only
+// 256 ns, so every re-arm lands at level 1 or 2. A level-2 bucket (65.5 µs)
+// usually holds several events and cascades once; the level-1 buckets
+// (256 ns) it pours into usually hold one, which then runs directly. The
+// count is deterministic: 250131 cascades over 255578 events (0.979 per
+// event). Cascading every lone event down to level 0 instead costs 496835
+// (1.944 per event), which fails the gate.
+struct DesChain {
+  Simulation* sim;
+  uint64_t state;
+  void operator()() const {
+    const uint64_t next =
+        state * 6364136223846793005ull + 1442695040888963407ull;
+    const auto stride = static_cast<Nanos>(
+        kMicrosecond + (next >> 24) % (499 * kMicrosecond));
+    sim->ScheduleAfter(stride, DesChain{sim, next});
+  }
+};
+
+TEST(WheelBackend, DesShapedChainCascadesPerEventGate) {
+  Simulation sim;
+  for (uint64_t i = 0; i < 32; ++i) {
+    sim.ScheduleAt(static_cast<Nanos>(i * 997),
+                   DesChain{&sim, 0x9E3779B97F4A7C15ull * (i + 1)});
+  }
+  sim.RunUntil(2 * kSecond);
+  const double cascades_per_event =
+      static_cast<double>(sim.wheel_cascades()) /
+      static_cast<double>(sim.executed_events());
+  EXPECT_GT(sim.executed_events(), 100000u);
+  EXPECT_LE(cascades_per_event, 1.0) << "executed " << sim.executed_events()
+                                     << ", cascades " << sim.wheel_cascades();
 }
 
 }  // namespace

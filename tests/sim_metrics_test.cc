@@ -1,8 +1,11 @@
 // Metrics tests: slowdown semantics, warmup filtering, per-type separation,
-// time-series bucketing.
+// time-series bucketing, and the overall views against a directly fed
+// reference.
 #include "src/sim/metrics.h"
 
 #include <gtest/gtest.h>
+
+#include <cmath>
 
 namespace psp {
 namespace {
@@ -107,6 +110,86 @@ TEST(Metrics, MeanLatency) {
   m.RecordCompletion(1, 0, 100, 50);
   m.RecordCompletion(1, 0, 300, 50);
   EXPECT_DOUBLE_EQ(m.TypeMeanLatency(1), 200.0);
+}
+
+// Across types, warm-up, deadlines and zero-service completions, the overall
+// views and the exported engine.latency / engine.slowdown_milli histograms
+// must equal one histogram fed every measured completion directly: the same
+// percentiles, count, min, max and mean. This pins the overall views exactly
+// whether they are recorded per completion or pooled from the per-type
+// histograms.
+TEST(Metrics, OverallViewsEqualDirectlyFedHistogram) {
+  constexpr Nanos kWarmup = 50 * kMicrosecond;
+  Metrics m(kWarmup);
+  m.RegisterType(1, "SHORT");
+  m.RegisterType(2, "LONG");
+  m.RegisterType(3, "ZERO");
+  m.RegisterType(4, "WARMUP_ONLY");  // every sample discarded
+  Histogram latency_ref;
+  Histogram slowdown_ref;
+  uint64_t lcg = 0x853c49e6748fea9bull;
+  const auto next = [&lcg] {
+    lcg = lcg * 6364136223846793005ull + 1442695040888963407ull;
+    return lcg >> 16;
+  };
+  for (int i = 0; i < 30000; ++i) {
+    const TypeId type = static_cast<TypeId>(1 + next() % 3);
+    const Nanos send = static_cast<Nanos>(next() % (10 * kMillisecond));
+    Nanos service = 0;
+    if (type == 1) {
+      service = static_cast<Nanos>(500 + next() % 5000);
+    } else if (type == 2) {
+      service = static_cast<Nanos>(100 * kMicrosecond + next() % 900000);
+    }
+    // Queueing delay with a heavy tail: mostly short, sometimes milliseconds.
+    const Nanos wait = static_cast<Nanos>(
+        next() % 16 == 0 ? next() % (5 * kMillisecond) : next() % 20000);
+    const Nanos receive = send + wait + service + 10 * kMicrosecond;
+    const Nanos deadline =
+        next() % 2 == 0 ? send + static_cast<Nanos>(next() % 200000) : 0;
+    m.RecordCompletion(type, send, receive, service, deadline,
+                       receive - 5 * kMicrosecond);
+    if (send >= kWarmup) {
+      const Nanos latency = receive - send;
+      latency_ref.Add(latency);
+      slowdown_ref.Add(
+          service > 0 ? static_cast<int64_t>(std::llround(
+                            static_cast<double>(latency) * kSlowdownScale /
+                            static_cast<double>(service)))
+                      : kSlowdownScale);
+    }
+  }
+  m.RecordCompletion(4, kWarmup - 1, kWarmup + 100, 100);
+  m.RecordDrop(2);
+  ASSERT_EQ(m.TotalCount(), latency_ref.Count());
+  ASSERT_GT(m.TotalDeadlineMisses(), 0u);
+
+  for (const double pct : {50.0, 99.0, 99.9}) {
+    EXPECT_EQ(m.OverallLatency(pct), latency_ref.Percentile(pct)) << pct;
+    EXPECT_DOUBLE_EQ(m.OverallSlowdown(pct),
+                     static_cast<double>(slowdown_ref.Percentile(pct)) /
+                         kSlowdownScale)
+        << pct;
+  }
+
+  TelemetrySnapshot snap;
+  m.ExportTelemetry(&snap);
+  const auto expect_same = [](const Histogram& got, const Histogram& want,
+                              const char* name) {
+    EXPECT_EQ(got.Count(), want.Count()) << name;
+    EXPECT_EQ(got.Min(), want.Min()) << name;
+    EXPECT_EQ(got.Max(), want.Max()) << name;
+    EXPECT_DOUBLE_EQ(got.Mean(), want.Mean()) << name;
+    for (double pct = 0; pct <= 100.0; pct += 0.5) {
+      ASSERT_EQ(got.Percentile(pct), want.Percentile(pct))
+          << name << " p" << pct;
+    }
+    ASSERT_EQ(got.Percentile(99.9), want.Percentile(99.9)) << name;
+  };
+  expect_same(snap.histograms.at("engine.latency"), latency_ref,
+              "engine.latency");
+  expect_same(snap.histograms.at("engine.slowdown_milli"), slowdown_ref,
+              "engine.slowdown_milli");
 }
 
 }  // namespace

@@ -1,13 +1,18 @@
-// Microbenchmarks for the server's one-time start-up work: the phases a
-// Persephone pays between exec and its first response (docs/PERF.md §4).
-// Each case constructs the object afresh per iteration, so its time is what
-// a new process pays for that phase.
+// Microbenchmarks for one-time start-up work: the phases a Persephone pays
+// between exec and its first response, and the DES engines every simulated
+// figure point builds before its first event (docs/PERF.md §4). Each case
+// constructs the object afresh per iteration, so its time is what a new
+// process (or a new figure point) pays for that phase.
 #include <benchmark/benchmark.h>
 
 #include "src/common/memory_pool.h"
 #include "src/common/time.h"
 #include "src/core/scheduler.h"
+#include "src/fleet/fleet_sim.h"
 #include "src/net/packet.h"
+#include "src/sim/cluster.h"
+#include "src/sim/policies/persephone.h"
+#include "src/sim/workload.h"
 #include "src/telemetry/telemetry.h"
 
 namespace psp {
@@ -56,6 +61,53 @@ void BM_MemoryPool(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_MemoryPool)->Unit(benchmark::kMicrosecond);
+
+std::unique_ptr<SchedulingPolicy> DarcPolicy() {
+  PersephoneOptions options;
+  options.scheduler.mode = PolicyMode::kDarc;
+  return std::make_unique<PersephonePolicy>(options);
+}
+
+// One sim-figures point: a 14-worker DARC engine on High Bimodal at load 0.9
+// (bench/e2e/sim.cc), default telemetry (tracing 1 in 64).
+void BM_ClusterEngineConstruct(benchmark::State& state) {
+  const WorkloadSpec workload = HighBimodal();
+  ClusterConfig config;
+  config.num_workers = 14;
+  config.rate_rps = 0.9 * workload.PeakLoadRps(14);
+  config.duration = 100 * kMillisecond;
+  config.net_one_way = 5 * kMicrosecond;
+  config.dispatch_cost = 100;
+  config.completion_cost = 40;
+  for (auto _ : state) {
+    ClusterEngine engine(workload, config, DarcPolicy());
+    benchmark::DoNotOptimize(engine.num_workers());
+  }
+}
+BENCHMARK(BM_ClusterEngineConstruct)->Unit(benchmark::kMicrosecond);
+
+// The sim-figures fleet point: 8 servers of 8 DARC workers behind
+// power-of-two-choices, at load 0.7.
+void BM_FleetSimulationConstruct(benchmark::State& state) {
+  const WorkloadSpec workload = HighBimodal();
+  FleetSimConfig config;
+  config.num_servers = 8;
+  config.server.num_workers = 8;
+  config.server.net_one_way = kMicrosecond;
+  config.server.dispatch_cost = 100;
+  config.server.completion_cost = 40;
+  config.net_one_way = 5 * kMicrosecond;
+  config.dispatch_cost = 50;
+  config.rate_rps = 0.7 * 8 * workload.PeakLoadRps(8);
+  config.duration = 100 * kMillisecond;
+  config.policy = FleetPolicyConfig::Default(FleetPolicyKind::kPowerOfTwo);
+  for (auto _ : state) {
+    FleetSimulation fleet(workload, config,
+                          [](uint32_t) { return DarcPolicy(); });
+    benchmark::DoNotOptimize(fleet.generated());
+  }
+}
+BENCHMARK(BM_FleetSimulationConstruct)->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 }  // namespace psp

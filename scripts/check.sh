@@ -54,6 +54,11 @@
 #                       name request types only as `type` labels (no family
 #                       name contains SHORT, LONG or UNKNOWN) and carry
 #                       psp_scheduler_type_queue_depth{type="SHORT"}.
+#   pacing            - the load generator's wall-clock send pacing
+#                       (runtime_loadgen_pacing_test): median gap and
+#                       exponential shape of the real sends at 200k req/s.
+#                       Tier-2 because preemption on a loaded host stretches
+#                       the gaps; ctest judges the deterministic schedule.
 #   e2e               - frozen end-to-end benchmark (bench/e2e, declared in
 #                       BENCHMARK.json): configure it fresh in a mktemp -d
 #                       build directory, build psp_e2e and psp_e2e_server and
@@ -61,7 +66,7 @@
 #                       the benchmark's build, its metric names or its
 #                       server's thread-pinning check fails here.
 #   all               - all of the above.
-# Usage: scripts/check.sh [address|thread|bench|introspect|fleet|ingress|trace|profile|deadline|e2e|all] [build-dir]
+# Usage: scripts/check.sh [address|thread|bench|introspect|fleet|ingress|trace|profile|deadline|pacing|e2e|all] [build-dir]
 set -eu
 MODE=${1:-address}
 ROOT="$(cd "$(dirname "$0")/.." && pwd)"
@@ -612,6 +617,17 @@ run_bench() {
   echo "bench OK ($((SECONDS - start))s wall)"
 }
 
+# The load generator's wall-clock send pacing (tests/
+# runtime_loadgen_pacing_test.cc). Not a ctest: preemption on a loaded host
+# stretches the gaps, so run it on a quiet one.
+run_pacing() {
+  local build=${1:-build}
+  cmake -B "$build" -S . >/dev/null
+  cmake --build "$build" -j "$(nproc)" --target runtime_loadgen_pacing_test
+  "$build/tests/runtime_loadgen_pacing_test"
+  echo "pacing OK"
+}
+
 case "$MODE" in
   address) run_address "${2:-build-asan}" ;;
   thread)  run_thread "${2:-build-tsan}" ;;
@@ -622,10 +638,12 @@ case "$MODE" in
   profile) run_profile "${2:-build}" ;;
   trace)   run_trace "${2:-build}" ;;
   deadline) run_deadline "${2:-build}" ;;
+  pacing)  run_pacing "${2:-build}" ;;
   e2e)     run_e2e ;;
   all)     run_address build-asan; run_thread build-tsan; run_fleet build;
            run_ingress build; run_profile build; run_trace build;
-           run_deadline build; run_e2e; run_bench build-bench ;;
-  *) echo "usage: scripts/check.sh [address|thread|bench|introspect|fleet|ingress|trace|profile|deadline|e2e|all] [build-dir]" >&2
+           run_deadline build; run_pacing build; run_e2e;
+           run_bench build-bench ;;
+  *) echo "usage: scripts/check.sh [address|thread|bench|introspect|fleet|ingress|trace|profile|deadline|pacing|e2e|all] [build-dir]" >&2
      exit 2 ;;
 esac

@@ -12,10 +12,10 @@ namespace psp {
 
 // Records non-negative int64 values. Values up to `kSubBuckets` are exact;
 // larger values are bucketed with relative precision 1/kSubBuckets (~0.05%).
+// The bucket array starts empty and grows to the largest value's bucket, so
+// an unused histogram costs no bucket storage.
 class Histogram {
  public:
-  Histogram() : counts_(kInitialSlots, 0) {}
-
   void Add(int64_t value) {
     if (value < 0) {
       value = 0;
@@ -53,7 +53,6 @@ class Histogram {
  private:
   static constexpr uint64_t kSubBucketBits = 11;  // 2048 sub-buckets per tier
   static constexpr uint64_t kSubBuckets = 1ULL << kSubBucketBits;
-  static constexpr size_t kInitialSlots = 4096;
 
   // Maps a value to a dense bucket index.
   static size_t IndexFor(uint64_t value) {

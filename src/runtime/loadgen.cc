@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cmath>
 #include <thread>
 
 #include "src/net/packet.h"
@@ -31,7 +30,6 @@ LoadGenReport LoadGenerator::Run() {
   Rng rng(config_.seed);
   BufferCache cache(&server_->pool());
   const TscClock& clock = TscClock::Global();
-  const double gap_mean = 1e9 / config_.rate_rps;
 
   for (const auto& m : mix_) {
     report.latency[m.wire_id];  // pre-create slots
@@ -40,7 +38,8 @@ LoadGenReport LoadGenerator::Run() {
   const Nanos start = clock.Now();
   const uint64_t warmup_cutoff = static_cast<uint64_t>(
       config_.warmup_fraction * static_cast<double>(config_.total_requests));
-  Nanos next_send = start;
+  PoissonSchedule schedule(config_.rate_rps, ScheduleSeed(config_.seed),
+                           start);
   uint64_t sent = 0;
   uint64_t received = 0;
   Nanos last_activity = start;
@@ -68,7 +67,7 @@ LoadGenReport LoadGenerator::Run() {
 
   while (sent < config_.total_requests) {
     const Nanos now = clock.Now();
-    if (now >= next_send) {
+    if (now >= schedule.next()) {
       // Pick a type by ratio.
       const double u = rng.NextDouble();
       const size_t slot = static_cast<size_t>(
@@ -109,11 +108,7 @@ LoadGenReport LoadGenerator::Run() {
       }
       ++sent;
       // Open loop: the next send time does not depend on responses.
-      double uu = rng.NextDouble();
-      if (uu <= 0) {
-        uu = 1e-18;
-      }
-      next_send += static_cast<Nanos>(-gap_mean * std::log(1.0 - uu)) + 1;
+      schedule.Advance();
       last_activity = now;
     } else if (!drain_one()) {
       std::this_thread::yield();

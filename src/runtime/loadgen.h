@@ -5,6 +5,7 @@
 #ifndef PSP_SRC_RUNTIME_LOADGEN_H_
 #define PSP_SRC_RUNTIME_LOADGEN_H_
 
+#include <cmath>
 #include <functional>
 #include <map>
 #include <string>
@@ -52,6 +53,33 @@ struct LoadGenReport {
   }
 };
 
+// The open-loop send schedule: Poisson arrivals at `rate_rps`, i.e.
+// exponential gaps (plus 1 ns, so no two sends coincide) from a stream of
+// its own. The schedule is therefore a pure function of (rate, seed),
+// whatever the type picks and payload builders draw from theirs.
+class PoissonSchedule {
+ public:
+  PoissonSchedule(double rate_rps, uint64_t seed, Nanos start)
+      : rng_(seed), gap_mean_(1e9 / rate_rps), next_(start) {}
+
+  // The current scheduled send time.
+  Nanos next() const { return next_; }
+
+  // Moves to the following send time.
+  void Advance() {
+    double u = rng_.NextDouble();
+    if (u <= 0) {
+      u = 1e-18;
+    }
+    next_ += static_cast<Nanos>(-gap_mean_ * std::log(1.0 - u)) + 1;
+  }
+
+ private:
+  Rng rng_;
+  double gap_mean_;
+  Nanos next_;
+};
+
 class LoadGenerator {
  public:
   LoadGenerator(Persephone* server, std::vector<ClientRequestSpec> mix,
@@ -60,6 +88,11 @@ class LoadGenerator {
   // Runs in the calling thread until all requests are sent and responses
   // drained (or the drain timeout expires).
   LoadGenReport Run();
+
+  // Seed of the send schedule's stream (PoissonSchedule) for `seed`.
+  static uint64_t ScheduleSeed(uint64_t seed) {
+    return Rng::StreamSeed(seed, 1);
+  }
 
  private:
   Persephone* server_;

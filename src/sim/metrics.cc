@@ -59,8 +59,6 @@ void Metrics::RecordCompletion(TypeId wire_id, Nanos send_time,
                              static_cast<double>(service_time)))
           : kSlowdownScale;
   slot.slowdown.Add(slowdown_milli);
-  overall_slowdown_.Add(slowdown_milli);
-  overall_latency_.Add(latency);
   ++total_completions_;
 
   if (bucket_width_ > 0) {
@@ -81,8 +79,16 @@ void Metrics::RecordDeadlineShed(TypeId wire_id, Nanos send_time) {
   ++deadline_shed_;
 }
 
+Histogram Metrics::Pooled(Histogram PerType::*view) const {
+  Histogram pooled;
+  for (const PerType& slot : types_) {
+    pooled.Merge(slot.*view);
+  }
+  return pooled;
+}
+
 double Metrics::OverallSlowdown(double pct) const {
-  return static_cast<double>(overall_slowdown_.Percentile(pct)) /
+  return static_cast<double>(Pooled(&PerType::slowdown).Percentile(pct)) /
          kSlowdownScale;
 }
 
@@ -99,7 +105,7 @@ Nanos Metrics::TypeLatency(TypeId wire_id, double pct) const {
 }
 
 Nanos Metrics::OverallLatency(double pct) const {
-  return overall_latency_.Percentile(pct);
+  return Pooled(&PerType::latency).Percentile(pct);
 }
 
 double Metrics::TypeMeanLatency(TypeId wire_id) const {
@@ -137,10 +143,12 @@ void Metrics::ExportTelemetry(TelemetrySnapshot* out) const {
     out->counters["engine.deadline_missed"] += deadline_missed_;
     out->counters["engine.deadline_shed"] += deadline_shed_;
   }
-  out->histograms["engine.latency"].Merge(overall_latency_);
-  out->histograms["engine.slowdown_milli"].Merge(overall_slowdown_);
+  Histogram& latency = out->histograms["engine.latency"];
+  Histogram& slowdown = out->histograms["engine.slowdown_milli"];
   for (const TypeId wire_id : type_ids_) {
     const PerType& slot = types_[index_.at(wire_id)];
+    latency.Merge(slot.latency);
+    slowdown.Merge(slot.slowdown);
     out->type_names.emplace(wire_id, slot.name);
     const std::string prefix = "engine.type." + slot.name;
     out->counters[prefix + ".completed"] += slot.latency.Count();

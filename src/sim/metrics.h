@@ -121,14 +121,15 @@ class Metrics {
 
   PerType& SlotFor(TypeId wire_id);
   const PerType* FindSlot(TypeId wire_id) const;
+  // The overall views are the per-type histograms pooled when read, so
+  // recording a completion feeds each sample into one histogram per view.
+  Histogram Pooled(Histogram PerType::*view) const;
 
   Nanos warmup_end_;
   Nanos bucket_width_ = 0;
   std::map<TypeId, size_t> index_;
   std::vector<TypeId> type_ids_;
   std::vector<PerType> types_;
-  Histogram overall_slowdown_;
-  Histogram overall_latency_;
   uint64_t total_completions_ = 0;
   uint64_t total_drops_ = 0;
   uint64_t deadline_total_ = 0;

@@ -1,6 +1,6 @@
 // Per-request lifecycle tracing: the pipeline-stage timeline of a single
 // request (rx → classified → enqueued → dispatched → handler-start →
-// handler-end → tx), sampled 1-in-N and committed into fixed-size lock-free
+// handler-end → tx), sampled 1-in-N and committed into bounded lock-free
 // per-thread rings so the dispatcher's ~100 ns per-request budget (§4.3.3)
 // is preserved.
 //
@@ -120,11 +120,21 @@ class TraceSampler {
   uint32_t count_ = 0;
 };
 
-// Fixed-size lock-free trace ring: one single-writer producer (the owning
-// worker thread) overwriting the oldest record, and wait-free concurrent
-// readers. Each slot carries a sequence number (seqlock pattern): odd while
-// a write is in flight, 2*(index+1) once committed. A reader copies the
-// record and re-validates the sequence; torn copies are dropped.
+// Lock-free trace ring: one single-writer producer (the owning worker
+// thread) overwriting the oldest record, and wait-free concurrent readers.
+// Each slot carries a sequence number (seqlock pattern): odd while a write is
+// in flight, 2*(index+1) once committed. A reader copies the record and
+// re-validates the sequence; torn copies are dropped.
+//
+// The ring starts at min(capacity, 64) slots and doubles whenever the writer
+// fills it, up to `capacity`, so a ring that records a few hundred traces
+// never allocates (or zero-fills) the thousands its capacity would allow.
+// Growth happens before the first wrap, so every index keeps its slot in the
+// larger block; the writer copies the filled slots across and publishes the
+// block with a release store before it advances head_. A reader that loads
+// head_ and then the live block (both acquire) therefore sees a block holding
+// every index below that head. Replaced blocks stay allocated until the ring
+// is destroyed, because a reader may still be copying from one.
 class TraceRing {
  public:
   // Capacity is rounded up to a power of two (minimum 8).
@@ -133,7 +143,8 @@ class TraceRing {
   TraceRing(const TraceRing&) = delete;
   TraceRing& operator=(const TraceRing&) = delete;
 
-  // Producer side; single writer. Never blocks, overwrites the oldest record.
+  // Producer side; single writer. Never blocks; grows the ring until it
+  // reaches capacity(), then overwrites the oldest record.
   void Push(const RequestTrace& record);
 
   // Reader side; safe concurrently with Push. Appends up to capacity() most
@@ -143,7 +154,8 @@ class TraceRing {
   // Total records ever pushed (including overwritten ones).
   uint64_t pushed() const { return head_.load(std::memory_order_acquire); }
 
-  size_t capacity() const { return mask_ + 1; }
+  // The configured maximum, not the slots allocated so far.
+  size_t capacity() const { return capacity_; }
 
  private:
   // Record fields are individually relaxed atomics (not a plain struct):
@@ -160,8 +172,29 @@ class TraceRing {
     std::array<std::atomic<Nanos>, kNumTraceStages> stamp{};
   };
 
-  size_t mask_;
-  std::unique_ptr<Slot[]> slots_;
+  // A power-of-two run of slots; immutable in size once published.
+  struct Block {
+    explicit Block(size_t slot_count)
+        : size(slot_count), slots(new Slot[slot_count]) {}
+    const size_t size;
+    const std::unique_ptr<Slot[]> slots;
+  };
+
+  static constexpr size_t kInitialSlots = 64;
+
+  // Relaxed field-by-field copies between a slot and a record (seq aside).
+  static RequestTrace Load(const Slot& slot);
+  static void Store(const RequestTrace& record, Slot* slot);
+
+  // Called by the writer with the live block full and below capacity:
+  // allocates the doubled block, copies every slot across and publishes it.
+  Block* Grow(const Block& full);
+
+  const size_t capacity_;
+  // Every block ever allocated, the live one last. Writer-only: readers reach
+  // blocks through live_ alone.
+  std::vector<std::unique_ptr<Block>> blocks_;
+  std::atomic<Block*> live_;
   std::atomic<uint64_t> head_{0};  // next logical write index
 };
 

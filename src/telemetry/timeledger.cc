@@ -1,13 +1,8 @@
 #include "src/telemetry/timeledger.h"
 
+#include <algorithm>
+
 namespace psp {
-namespace {
-
-// Matches kMaxWorkers in src/core/worker_set.h (telemetry cannot include it
-// without inverting the layer dependency); +1 for the dispatcher pseudo-slot.
-constexpr uint32_t kLedgerCapacity = 256 + 1;
-
-}  // namespace
 
 const char* WorkerTimeStateName(WorkerTimeState state) {
   switch (state) {
@@ -67,8 +62,9 @@ void IntervalOccupancy(
   }
 }
 
-WorkerTimeLedger::WorkerTimeLedger()
-    : capacity_(kLedgerCapacity), slots_(new Slot[kLedgerCapacity]) {}
+WorkerTimeLedger::WorkerTimeLedger(uint32_t num_workers)
+    : max_workers_(std::min(num_workers, kDispatcherSlot)),
+      slots_(new Slot[max_workers_ + 1]) {}
 
 WorkerTimeLedger::~WorkerTimeLedger() = default;
 
@@ -82,24 +78,18 @@ void WorkerTimeLedger::OpenSlot(Slot* slot, Nanos now) {
                      std::memory_order_relaxed);
 }
 
-void WorkerTimeLedger::Open(uint32_t num_workers, Nanos now) {
+void WorkerTimeLedger::Open(Nanos now) {
   if (opened_.exchange(true, std::memory_order_relaxed)) {
     return;
   }
-  if (num_workers > capacity_ - 1) {
-    num_workers = capacity_ - 1;
+  for (uint32_t w = 0; w <= max_workers_; ++w) {
+    OpenSlot(&slots_[w], now);  // every worker slot, then the dispatcher's
   }
-  for (uint32_t w = 0; w < num_workers; ++w) {
-    OpenSlot(&slots_[w], now);
-  }
-  OpenSlot(&slots_[dispatcher_slot()], now);
-  active_workers_.store(num_workers, std::memory_order_relaxed);
+  active_workers_.store(max_workers_, std::memory_order_relaxed);
 }
 
 void WorkerTimeLedger::SetNumWorkers(uint32_t num_workers, Nanos now) {
-  if (num_workers > capacity_ - 1) {
-    num_workers = capacity_ - 1;
-  }
+  num_workers = std::min(num_workers, max_workers_);
   const uint32_t old = active_workers_.load(std::memory_order_relaxed);
   for (uint32_t w = old; w < num_workers; ++w) {
     OpenSlot(&slots_[w], now);
@@ -109,10 +99,11 @@ void WorkerTimeLedger::SetNumWorkers(uint32_t num_workers, Nanos now) {
 
 void WorkerTimeLedger::Transition(uint32_t slot_id, WorkerTimeState state,
                                   uint32_t type, Nanos now) {
-  if (slot_id >= capacity_) {
+  Slot* const found = SlotFor(slot_id);
+  if (found == nullptr) {
     return;
   }
-  Slot& slot = slots_[slot_id];
+  Slot& slot = *found;
   const uint32_t prev = slot.packed.load(std::memory_order_relaxed);
   const Nanos since = slot.since.load(std::memory_order_relaxed);
   const Nanos span = now > since ? now - since : 0;
@@ -134,19 +125,21 @@ void WorkerTimeLedger::Transition(uint32_t slot_id, WorkerTimeState state,
 
 void WorkerTimeLedger::Add(uint32_t slot_id, WorkerTimeState state,
                            Nanos span) {
-  if (slot_id >= capacity_ || span <= 0) {
+  Slot* const slot = SlotFor(slot_id);
+  if (slot == nullptr || span <= 0) {
     return;
   }
-  slots_[slot_id].accum[static_cast<size_t>(state)].Add(
+  slot->accum[static_cast<size_t>(state)].Add(
       static_cast<uint64_t>(span));
 }
 
 void WorkerTimeLedger::AccountSpan(uint32_t slot_id, WorkerTimeState state,
                                    Nanos now) {
-  if (slot_id >= capacity_) {
+  Slot* const found = SlotFor(slot_id);
+  if (found == nullptr) {
     return;
   }
-  Slot& slot = slots_[slot_id];
+  Slot& slot = *found;
   const Nanos since = slot.since.load(std::memory_order_relaxed);
   const Nanos span = now > since ? now - since : 0;
   if (span > 0) {
@@ -158,16 +151,18 @@ void WorkerTimeLedger::AccountSpan(uint32_t slot_id, WorkerTimeState state,
 
 void WorkerTimeLedger::SetRemainderState(uint32_t slot_id,
                                          WorkerTimeState state) {
-  if (slot_id >= capacity_) {
+  Slot* const slot = SlotFor(slot_id);
+  if (slot == nullptr) {
     return;
   }
-  slots_[slot_id].remainder_state.store(static_cast<uint8_t>(state),
+  slot->remainder_state.store(static_cast<uint8_t>(state),
                                         std::memory_order_relaxed);
 }
 
 const std::atomic<uint32_t>* WorkerTimeLedger::packed_state(
     uint32_t slot_id) const {
-  return slot_id < capacity_ ? &slots_[slot_id].packed : nullptr;
+  const Slot* const slot = SlotFor(slot_id);
+  return slot == nullptr ? nullptr : &slot->packed;
 }
 
 void WorkerTimeLedger::FillRecord(const Slot& slot, uint32_t index,
@@ -243,8 +238,8 @@ std::vector<WorkerTimeRecord> WorkerTimeLedger::SnapshotTotals(
     records.push_back(std::move(rec));
   }
   WorkerTimeRecord dispatcher;
-  FillRecord(slots_[dispatcher_slot()], dispatcher_slot(), "dispatcher", now,
-             namer, &dispatcher);
+  FillRecord(slots_[max_workers_], kDispatcherSlot, "dispatcher", now, namer,
+             &dispatcher);
   records.push_back(std::move(dispatcher));
   return records;
 }

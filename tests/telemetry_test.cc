@@ -5,8 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <stdexcept>
 #include <thread>
+#include <vector>
 
 #include "src/core/scheduler.h"
 #include "src/runtime/persephone.h"
@@ -63,25 +66,99 @@ TEST(TraceRing, RoundsCapacityUpToPowerOfTwo) {
   EXPECT_GE(tiny.capacity(), 8u);
 }
 
-TEST(TraceRing, SnapshotIsSafeWhileWriting) {
-  TraceRing ring(64);
-  std::atomic<bool> stop{false};
-  std::thread writer([&] {
-    uint64_t i = 0;
-    while (!stop.load(std::memory_order_relaxed)) {
-      ring.Push(MakeTrace(i++, 0, 1000));
-    }
-  });
-  // Concurrent snapshots must only ever observe fully committed records.
-  for (int pass = 0; pass < 200; ++pass) {
+// A record whose every field derives from `id`, so a slot copied from the
+// wrong index (or half-copied) shows up as a field mismatch.
+RequestTrace MakeKeyedTrace(uint64_t id) {
+  RequestTrace t = MakeTrace(id, static_cast<uint32_t>(id % 7),
+                             1000 + 100 * static_cast<Nanos>(id));
+  t.worker = static_cast<uint32_t>(id % 5);
+  t.wire_request_id = id * 3 + 1;
+  t.client_id = static_cast<uint32_t>(id % 11);
+  return t;
+}
+
+void ExpectKeyed(const RequestTrace& t) {
+  const RequestTrace want = MakeKeyedTrace(t.request_id);
+  EXPECT_EQ(t.type, want.type);
+  EXPECT_EQ(t.worker, want.worker);
+  EXPECT_EQ(t.wire_request_id, want.wire_request_id);
+  EXPECT_EQ(t.client_id, want.client_id);
+  EXPECT_EQ(t.stamp, want.stamp);
+}
+
+// The ring starts small and doubles up to its capacity: after every push,
+// across every doubling and the first two laps past capacity, a snapshot is
+// exactly the newest min(n, capacity) records in push order.
+TEST(TraceRing, GrowingRingMatchesBoundedReference) {
+  for (const size_t capacity : {size_t{8}, size_t{64}, size_t{1024}}) {
+    TraceRing ring(capacity);
     std::vector<RequestTrace> out;
-    ring.Snapshot(&out);
-    for (const RequestTrace& t : out) {
-      EXPECT_EQ(t.Span(TraceStage::kRx, TraceStage::kTx), 60);
+    for (uint64_t n = 0; n <= 3 * capacity; ++n) {
+      if (n > 0) {
+        ring.Push(MakeKeyedTrace(n - 1));
+      }
+      out.clear();
+      const size_t want = std::min<uint64_t>(n, capacity);
+      ASSERT_EQ(ring.Snapshot(&out), want) << "capacity " << capacity
+                                           << " after " << n << " pushes";
+      ASSERT_EQ(out.size(), want);
+      for (size_t i = 0; i < want; ++i) {
+        ASSERT_EQ(out[i].request_id, n - want + i)
+            << "capacity " << capacity << " after " << n << " pushes";
+        ExpectKeyed(out[i]);
+      }
+      EXPECT_EQ(ring.pushed(), n);
+      EXPECT_EQ(ring.capacity(), capacity);
     }
   }
-  stop.store(true);
+}
+
+// The reader snapshots concurrently while the writer grows the ring from 64
+// slots to its capacity and then laps it. The writer waits for one more
+// snapshot at every doubling, so reads overlap each block size.
+TEST(TraceRing, SnapshotIsSafeWhileWriting) {
+  constexpr size_t kCapacity = 4096;
+  TraceRing ring(kCapacity);
+  std::atomic<uint64_t> snapshots{0};
+  std::atomic<bool> done{false};
+  std::thread writer([&] {
+    for (uint64_t i = 0; i < 3 * kCapacity; ++i) {
+      if (i >= 64 && i < kCapacity && (i & (i - 1)) == 0) {
+        const uint64_t seen = snapshots.load();
+        while (snapshots.load() < seen + 2) {
+          std::this_thread::yield();
+        }
+      }
+      ring.Push(MakeKeyedTrace(i));
+    }
+    done.store(true);
+  });
+  // Concurrent snapshots must only ever observe fully committed records, in
+  // push order.
+  size_t partial = 0;
+  std::vector<RequestTrace> out;
+  while (!done.load()) {
+    out.clear();
+    ring.Snapshot(&out);
+    snapshots.fetch_add(1);
+    EXPECT_LE(out.size(), kCapacity);
+    if (!out.empty() && out.size() < kCapacity) {
+      ++partial;
+    }
+    for (size_t i = 0; i < out.size(); ++i) {
+      EXPECT_EQ(out[i].Span(TraceStage::kRx, TraceStage::kTx), 60);
+      ExpectKeyed(out[i]);
+      if (i > 0) {
+        EXPECT_GT(out[i].request_id, out[i - 1].request_id);
+      }
+    }
+  }
   writer.join();
+  // One snapshot per doubling at least (64 -> 4096 is six of them).
+  EXPECT_GE(partial, 6u);
+  out.clear();
+  EXPECT_EQ(ring.Snapshot(&out), kCapacity);
+  EXPECT_EQ(out.front().request_id, 2 * kCapacity);
 }
 
 TEST(TraceSampler, OneInNCadence) {

@@ -66,12 +66,16 @@ std::optional<InferenceRequest> DecodeInferenceRequest(const std::byte* buf,
   if (length < 4) {
     return std::nullopt;
   }
-  InferenceRequest request;
-  std::memcpy(&request.feature_count, buf, 4);
-  if (4 + static_cast<uint64_t>(request.feature_count) * 4 > length) {
+  uint32_t count = 0;
+  std::memcpy(&count, buf, 4);
+  if (4 + static_cast<uint64_t>(count) * 4 > length) {
     return std::nullopt;
   }
-  request.features = reinterpret_cast<const float*>(buf + 4);
+  InferenceRequest request;
+  request.features.resize(count);
+  if (count > 0) {
+    std::memcpy(request.features.data(), buf + 4, size_t{count} * 4);
+  }
   return request;
 }
 
@@ -82,7 +86,7 @@ uint32_t ExecuteInference(const GbdtModel& model,
     return 0;
   }
   const float prediction =
-      model.Predict(request.features, request.feature_count);
+      model.Predict(request.features.data(), request.features.size());
   std::memcpy(response, &prediction, 4);
   return 4;
 }

@@ -55,9 +55,9 @@ class GbdtModel {
 
 // Wire protocol for the inference service (payload after the PSP header):
 //   feature_count u32 | features f32 × count
+// Decoding copies the features out: a payload need not be 4-byte aligned.
 struct InferenceRequest {
-  const float* features = nullptr;
-  uint32_t feature_count = 0;
+  std::vector<float> features;
 };
 
 uint32_t EncodeInferenceRequest(const float* features, uint32_t count,

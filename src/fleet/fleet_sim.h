@@ -99,7 +99,7 @@ class FleetSimulation {
   }
 
   // The fleet-wide introspection surface: per-server TelemetrySnapshots plus
-  // the dispatcher's own counters, exportable as /fleet.json or Prometheus
+  // the dispatcher's own counters, exportable as fleet.json or Prometheus
   // text with server="N" labels.
   FleetSnapshot fleet_snapshot() const;
 

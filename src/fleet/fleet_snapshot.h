@@ -4,13 +4,13 @@
 // into the rack-level view.
 //
 // Exporters:
-//   * ToJson()       — the /fleet.json admin payload: per-server snapshots
-//                      under "servers" and the merged rollup under "merged".
+//   * ToJson()       — the fleet.json artifact: per-server snapshots under
+//                      "servers" and the merged rollup under "merged".
 //   * ToPrometheus() — RenderFleetPrometheusText: every member's
 //                      RenderPrometheusText page federated exactly as
-//                      `pspctl federate` merges separate processes, so one
-//                      scrape of the fleet admin port yields the whole rack
-//                      under the same family names.
+//                      `pspctl federate` merges separate processes, so the
+//                      fleet's metrics.prom carries the whole rack under the
+//                      same family names.
 #ifndef PSP_SRC_FLEET_FLEET_SNAPSHOT_H_
 #define PSP_SRC_FLEET_FLEET_SNAPSHOT_H_
 

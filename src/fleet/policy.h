@@ -1,7 +1,6 @@
 // Inter-server dispatch policies for the rack-scale fleet layer: the tier
-// that RackSched (NSDI '20) layers on top of per-server schedulers. A fleet
-// front-end (the sim's FleetSimulation dispatcher or the threaded
-// FleetRuntime's front-end thread) asks the policy to pick one of N
+// that RackSched (NSDI '20) layers on top of per-server schedulers. The
+// fleet dispatcher (FleetSimulation's) asks the policy to pick one of N
 // Perséphone servers for each arriving request.
 //
 // Policies (FleetPolicyKind):

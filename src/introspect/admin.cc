@@ -410,18 +410,7 @@ void AdminServer::HandleRequest(const std::string& method,
   if (method == "GET") {
     if (path == "/metrics") {
       *content_type = "text/plain; version=0.0.4; charset=utf-8";
-      *response = hooks_.metrics_text ? hooks_.metrics_text()
-                                      : RenderPrometheusText(hooks_.snapshot());
-      return;
-    }
-    if (path == "/fleet.json") {
-      if (!hooks_.fleet_json) {
-        *status = 404;
-        *response = "not a fleet endpoint\n";
-        return;
-      }
-      *content_type = "application/json";
-      *response = hooks_.fleet_json();
+      *response = RenderPrometheusText(hooks_.snapshot());
       return;
     }
     if (path == "/snapshot.json") {

@@ -17,7 +17,6 @@
 //   GET  /timeseries.json      time-series intervals (snapshot JSON subset)
 //   GET  /outliers.json        K-slowest-per-type tail capture
 //   GET  /lifecycle.json       sampled per-request lifecycle records
-//   GET  /fleet.json           fleet-wide aggregation (fleet endpoints only)
 //   GET  /healthz              liveness probe ("ok")
 //   GET  /profile.folded       collected CPU samples as folded stacks
 //   POST /trace/start          arm an on-demand bounded Perfetto capture
@@ -59,14 +58,8 @@ struct AdminConfig {
 // directly. `snapshot` is required when `enabled`; the rest degrade to 404 /
 // 501 when unset.
 struct AdminHooks {
+  // GET /metrics renders snapshot() through RenderPrometheusText.
   std::function<TelemetrySnapshot()> snapshot;
-  // Default (unset): /metrics renders snapshot() through
-  // RenderPrometheusText. A fleet endpoint overrides this with its own
-  // exposition page (per-server samples labelled server="N").
-  std::function<std::string()> metrics_text;
-  // GET /fleet.json: the fleet-wide aggregation (FleetSnapshot::ToJson).
-  // Unset (single-server endpoints) answers 404.
-  std::function<std::string()> fleet_json;
   // Default (unset): derived from snapshot() — intervals + type names only.
   std::function<std::string()> timeseries_json;
   std::function<std::string()> outliers_json;

@@ -5,7 +5,7 @@
 // `# HELP` / `# TYPE` / sample-line format every Prometheus-compatible
 // scraper understands. The module also owns the read side: the page
 // validator and the one federation that builds both `pspctl federate`'s
-// merged page and the in-process fleet page.
+// merged page and the simulated fleet's page (FleetSnapshot::ToPrometheus).
 //
 // Mapping rules (held by tests/introspect_prometheus_test.cc):
 //   * snapshot counters  -> `psp_<name>_total` counter samples; hierarchical

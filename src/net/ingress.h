@@ -4,12 +4,11 @@
 // in-process ring substrate (SimulatedNic + LoadGenerator, the paper's
 // simulated DPDK queues) and the kernel UDP socket frontend
 // (src/net/udp_ingress.h, real datagrams from an external client) are
-// interchangeable implementations — and the fleet front-end's submit ring
-// rides the same seam via the Frame template parameter.
+// interchangeable implementations.
 //
 // Contracts:
-//   * PollBurst is single-consumer: exactly one thread (the dispatcher, or
-//     the fleet front-end) polls a given source.
+//   * PollBurst is single-consumer: exactly one thread (the dispatcher)
+//     polls a given source.
 //   * SendBurst may be called concurrently from every worker thread; `queue`
 //     names the caller's TX context (worker w uses queue w+1, matching the
 //     SimulatedNic queue map).
@@ -27,7 +26,6 @@
 #include <string>
 #include <thread>
 
-#include "src/common/spsc_ring.h"
 #include "src/net/nic.h"
 #include "src/net/packet.h"
 #include "src/net/poll_control.h"
@@ -74,14 +72,13 @@ struct IngressConfig {
   std::string Validate() const;
 };
 
-template <typename Frame>
-class IngressSourceT {
+class IngressSource {
  public:
-  virtual ~IngressSourceT() = default;
+  virtual ~IngressSource() = default;
 
   // Fills out[0..max_n) with up to max_n frames; returns the count (0 when
   // nothing is pending). Frames come out in arrival order per producer.
-  virtual size_t PollBurst(Frame* out, size_t max_n) = 0;
+  virtual size_t PollBurst(PacketRef* out, size_t max_n) = 0;
 
   // Consumer found no work this round (see header comment).
   virtual void IdleHint() {}
@@ -89,9 +86,6 @@ class IngressSourceT {
   // Implementation name, for logs and the conformance tests.
   virtual const char* Name() const = 0;
 };
-
-// The runtime's packet-carrying instantiation.
-using IngressSource = IngressSourceT<PacketRef>;
 
 class EgressSink {
  public:
@@ -105,33 +99,10 @@ class EgressSink {
   virtual const char* Name() const = 0;
 };
 
-// An SPSC ring behind the IngressSource interface: the producer side is
-// exposed via ring() (the fleet front-end's client Submit()s typed entries
-// here). IdleHint yields, so the runtime stays live on machines with fewer
-// cores than threads.
-template <typename Frame>
-class RingIngressSource final : public IngressSourceT<Frame> {
- public:
-  // depth must be a power of two.
-  explicit RingIngressSource(size_t depth) : ring_(depth) {}
-
-  SpscRing<Frame>& ring() { return ring_; }
-
-  size_t PollBurst(Frame* out, size_t max_n) override {
-    return ring_.TryPopBurst(out, max_n);
-  }
-
-  void IdleHint() override { std::this_thread::yield(); }
-
-  const char* Name() const override { return "ring"; }
-
- private:
-  SpscRing<Frame> ring_;
-};
-
 // Direct NIC RX-queue poll (the paper's own arrangement: net worker and
 // dispatcher share one hardware thread, so the dispatcher polls RX itself).
-// IdleHint yields, like RingIngressSource's.
+// IdleHint yields, so the runtime stays live on machines with fewer cores
+// than threads.
 class NicIngressSource final : public IngressSource {
  public:
   NicIngressSource(SimulatedNic* nic, uint32_t queue)

@@ -111,15 +111,19 @@ TEST(GbdtModel, BiggerEnsembleTakesProportionallyLonger) {
 
 TEST(InferenceCodec, RoundTrip) {
   const auto features = RandomFeatures(8, 3);
-  std::byte buf[256];
-  const uint32_t len = EncodeInferenceRequest(features.data(), 8, buf,
-                                              sizeof(buf));
-  ASSERT_EQ(len, 4u + 32u);
-  const auto decoded = DecodeInferenceRequest(buf, len);
-  ASSERT_TRUE(decoded.has_value());
-  EXPECT_EQ(decoded->feature_count, 8u);
-  for (int i = 0; i < 8; ++i) {
-    EXPECT_EQ(decoded->features[i], features[static_cast<size_t>(i)]);
+  alignas(4) std::byte buf[256];
+  // A request payload sits wherever the frame puts it; offset 2 leaves the
+  // features misaligned for float, as a frame's payload can be.
+  for (const size_t offset : {size_t{0}, size_t{2}}) {
+    const uint32_t len = EncodeInferenceRequest(
+        features.data(), 8, buf + offset, sizeof(buf) - offset);
+    ASSERT_EQ(len, 4u + 32u);
+    const auto decoded = DecodeInferenceRequest(buf + offset, len);
+    ASSERT_TRUE(decoded.has_value());
+    ASSERT_EQ(decoded->features.size(), 8u);
+    for (int i = 0; i < 8; ++i) {
+      EXPECT_EQ(decoded->features[i], features[static_cast<size_t>(i)]);
+    }
   }
 }
 

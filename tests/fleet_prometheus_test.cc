@@ -1,19 +1,16 @@
-// The fleet /metrics page is the federation of its members' own pages: it
-// validates, carries every member sample under server="i", sums every member
-// counter into psp_fleet_*, and names the dispatcher's own families
-// psp_fleet_* exactly once — for the simulated and the threaded fleet alike.
+// The fleet's Prometheus page (metrics.prom) is the federation of its
+// members' own pages: it validates, carries every member sample under
+// server="i", sums every member counter into psp_fleet_*, and names the
+// dispatcher's own families psp_fleet_* exactly once.
 #include <gtest/gtest.h>
 
-#include <chrono>
 #include <cstdlib>
 #include <map>
+#include <memory>
 #include <set>
 #include <string>
-#include <thread>
 #include <vector>
 
-#include "src/apps/synthetic.h"
-#include "src/fleet/fleet_runtime.h"
 #include "src/fleet/fleet_sim.h"
 #include "src/introspect/prometheus.h"
 #include "src/sim/policies/c_fcfs.h"
@@ -124,35 +121,6 @@ TEST(FleetPrometheus, SimulatedFleetPageFederatesMemberPages) {
     return std::make_unique<CentralFcfsPolicy>();
   });
   fleet.Run();
-  ExpectFederatedFleetPage(fleet.fleet_snapshot());
-}
-
-TEST(FleetPrometheus, RuntimeFleetPageFederatesMemberPages) {
-  FleetRuntimeConfig config;
-  config.num_servers = 2;
-  config.server.num_workers = 2;
-  config.server.pool_buffers = 1024;
-  config.policy = FleetPolicyConfig::Default(FleetPolicyKind::kRoundRobin);
-  FleetRuntime fleet(config);
-  fleet.RegisterType(1, "SPIN", MakeSpinHandler(), FromMicros(1), 1.0);
-  fleet.Start();
-  constexpr uint64_t kTotal = 200;
-  Nanos spin = FromMicros(1);
-  for (uint64_t i = 0; i < kTotal; ++i) {
-    while (!fleet.Submit(1, static_cast<uint32_t>(i), &spin, sizeof(spin))) {
-      std::this_thread::yield();
-    }
-  }
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds(10);
-  while (std::chrono::steady_clock::now() < deadline) {
-    const FleetClientReport report = fleet.client_report();
-    if (report.responses + report.dispatch_drops >= kTotal) {
-      break;
-    }
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  }
-  fleet.Stop();
   ExpectFederatedFleetPage(fleet.fleet_snapshot());
 }
 

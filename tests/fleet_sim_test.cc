@@ -175,11 +175,11 @@ TEST(FleetSim, WritesFleetIntrospectionArtifacts) {
     ss << in.rdbuf();
     return ss.str();
   };
-  const std::string fleet_json = slurp(dir + "/fleet.json");
-  EXPECT_NE(fleet_json.find("\"policy\":\"po2c\""), std::string::npos);
-  EXPECT_NE(fleet_json.find("\"num_servers\":2"), std::string::npos);
-  EXPECT_NE(fleet_json.find("\"merged\":"), std::string::npos);
-  EXPECT_EQ(fleet_json, fleet.fleet_snapshot().ToJson());
+  const std::string fleet_doc = slurp(dir + "/fleet.json");
+  EXPECT_NE(fleet_doc.find("\"policy\":\"po2c\""), std::string::npos);
+  EXPECT_NE(fleet_doc.find("\"num_servers\":2"), std::string::npos);
+  EXPECT_NE(fleet_doc.find("\"merged\":"), std::string::npos);
+  EXPECT_EQ(fleet_doc, fleet.fleet_snapshot().ToJson());
 
   const std::string prom = slurp(dir + "/metrics.prom");
   EXPECT_NE(prom.find("psp_fleet_servers 2"), std::string::npos);

@@ -1,7 +1,7 @@
 // IngressSource seam: PollController pacing semantics, plus a conformance
-// harness run against all three IngressSource implementations (in-process
-// ring, simulated-NIC poll, kernel UDP sockets) so they stay interchangeable
-// behind the dispatcher.
+// harness run against both IngressSource implementations (simulated-NIC
+// poll, kernel UDP sockets) so they stay interchangeable behind the
+// dispatcher.
 #include <arpa/inet.h>
 #include <atomic>
 #include <cstring>
@@ -186,15 +186,6 @@ PacketRef MakeFrame(MemoryPool* pool, size_t i) {
 }
 
 constexpr size_t kConformanceFrames = 40;
-
-TEST(IngressConformance, RingSource) {
-  MemoryPool pool(kMaxPacketSize, 128);
-  RingIngressSource<PacketRef> source(64);
-  for (size_t i = 0; i < kConformanceFrames; ++i) {
-    ASSERT_TRUE(source.ring().TryPush(MakeFrame(&pool, i)));
-  }
-  DrainAndCheck(&source, &pool, kConformanceFrames);
-}
 
 TEST(IngressConformance, NicSource) {
   MemoryPool pool(kMaxPacketSize, 128);

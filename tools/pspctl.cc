@@ -2,7 +2,7 @@
 // (src/introspect/admin.h). It speaks HTTP over its own plain POSIX socket
 // client, so it exercises the endpoint the way an external scraper would;
 // the exposition validator and the federation come from
-// src/introspect/prometheus.h, the same code the in-process fleet page uses.
+// src/introspect/prometheus.h, the same code the simulated fleet's page uses.
 //
 // Usage:
 //   pspctl [--port P | --host H:P | --uds PATH] [--out FILE] [--check] CMD
@@ -10,7 +10,6 @@
 // Commands:
 //   metrics            GET /metrics   (--check validates the exposition)
 //   snapshot           GET /snapshot.json
-//   fleet              GET /fleet.json (fleet endpoints only; 404 elsewhere)
 //   timeseries         GET /timeseries.json
 //   outliers           GET /outliers.json
 //   lifecycle          GET /lifecycle.json (sampled per-request records)
@@ -72,7 +71,7 @@ int UsageError(const char* detail) {
                "pspctl: %s\n"
                "usage: pspctl [--port P | --host H:P | --uds PATH] "
                "[--out FILE] [--check]\n"
-               "              metrics|snapshot|fleet|timeseries|outliers|"
+               "              metrics|snapshot|timeseries|outliers|"
                "lifecycle|health|flight|trace start|stop|set K=V...\n"
                "       pspctl [endpoint flags] profile [HZ [DUR_SEC]]\n"
                "       pspctl [endpoint flags] profile start [HZ [DUR]]|"
@@ -393,8 +392,6 @@ int main(int argc, char** argv) {
     path = "/metrics";
   } else if (cmd == "snapshot") {
     path = "/snapshot.json";
-  } else if (cmd == "fleet") {
-    path = "/fleet.json";
   } else if (cmd == "timeseries") {
     path = "/timeseries.json";
   } else if (cmd == "outliers") {

@@ -19,7 +19,7 @@ void BM_SpscPushPop(benchmark::State& state) {
   uint64_t v = 0;
   for (auto _ : state) {
     ring.TryPush(v);
-    uint64_t out;
+    uint64_t out = 0;
     ring.TryPop(&out);
     benchmark::DoNotOptimize(out);
     ++v;
@@ -36,7 +36,7 @@ void BM_SpscBatchedPushPop(benchmark::State& state) {
     for (uint64_t i = 0; i < 64; ++i) {
       ring.TryPush(i);
     }
-    uint64_t out;
+    uint64_t out = 0;
     while (ring.TryPop(&out)) {
       benchmark::DoNotOptimize(out);
     }
@@ -70,7 +70,7 @@ void BM_MpscPushPop(benchmark::State& state) {
   uint32_t v = 0;
   for (auto _ : state) {
     ring.TryPush(v);
-    uint32_t out;
+    uint32_t out = 0;
     ring.TryPop(&out);
     benchmark::DoNotOptimize(out);
     ++v;
@@ -96,7 +96,7 @@ void BM_SpscCrossThread(benchmark::State& state) {
   });
   uint64_t drained = 0;
   for (auto _ : state) {
-    uint64_t out;
+    uint64_t out = 0;
     if (ring.TryPop(&out)) {
       benchmark::DoNotOptimize(out);
       ++drained;
@@ -119,7 +119,7 @@ void BM_SpscPushPopCycles(benchmark::State& state) {
   const uint64_t tsc_start = ReadTsc();
   for (auto _ : state) {
     ring.TryPush(ops);
-    uint64_t out;
+    uint64_t out = 0;
     ring.TryPop(&out);
     benchmark::DoNotOptimize(out);
     ++ops;

@@ -9,6 +9,7 @@
 //
 // Defaults to High Bimodal on 14 workers at 80% load. Trace files use the
 // CSV format of src/sim/trace.h (send_us,type,service_us per line).
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -105,9 +106,24 @@ int main(int argc, char** argv) {
 
   const double peak = workload.PeakLoadRps(workers);
   std::printf("workload '%s': mean service %.2f us, peak %.0f kRPS on %u "
-              "workers; evaluating at %.0f%% load\n\n",
+              "workers; ",
               workload.name.c_str(), workload.MeanServiceNanos() / 1e3,
-              peak / 1e3, workers, load * 100);
+              peak / 1e3, workers);
+  if (trace.empty()) {
+    std::printf("evaluating at %.0f%% load\n\n", load * 100);
+  } else {
+    // A replay's load is the trace's own: requests over its send-time span.
+    const auto [first, last] = std::minmax_element(
+        trace.begin(), trace.end(), [](const auto& a, const auto& b) {
+          return a.send_time < b.send_time;
+        });
+    const double span_s =
+        static_cast<double>(last->send_time - first->send_time) / 1e9;
+    const double offered =
+        span_s > 0 ? static_cast<double>(trace.size()) / span_s : 0.0;
+    std::printf("the trace offers %.1f kRPS (%.0f%% of peak)\n\n",
+                offered / 1e3, offered / peak * 100);
+  }
 
   struct Entry {
     const char* name;

@@ -1,5 +1,6 @@
 #include "src/common/memory_pool.h"
 
+#include <algorithm>
 #include <cassert>
 
 namespace psp {
@@ -22,19 +23,29 @@ MemoryPool::MemoryPool(size_t buffer_size, size_t num_buffers)
   // sharing between adjacent buffers).
   storage_.reset(static_cast<std::byte*>(
       ::operator new[](buffer_size_ * num_buffers_, std::align_val_t{64})));
-  // Ring is one slot class larger than the population so a full free list
-  // always fits.
+  // The ring holds the whole population, so every issued buffer always fits
+  // back. It starts empty: buffers enter it only when first released.
   free_ring_ = std::make_unique<MpscRing<uint32_t>>(num_buffers_);
-  for (uint32_t i = 0; i < num_buffers_; ++i) {
-    const bool ok = free_ring_->TryPush(i);
-    assert(ok);
-    (void)ok;
-  }
+}
+
+uint32_t MemoryPool::ClaimFresh(uint32_t n, uint32_t* first) {
+  const uint32_t total = static_cast<uint32_t>(num_buffers_);
+  uint32_t next = fresh_.load(std::memory_order_relaxed);
+  uint32_t count = 0;
+  do {
+    count = std::min(n, total - next);
+    if (count == 0) {
+      return 0;
+    }
+  } while (!fresh_.compare_exchange_weak(next, next + count,
+                                         std::memory_order_relaxed));
+  *first = next;
+  return count;
 }
 
 std::byte* MemoryPool::AllocGlobal() {
-  uint32_t idx;
-  if (!free_ring_->TryPop(&idx)) {
+  uint32_t idx = 0;
+  if (!free_ring_->TryPop(&idx) && ClaimFresh(1, &idx) == 0) {
     return nullptr;
   }
   return BufferAt(idx);
@@ -73,6 +84,13 @@ bool BufferCache::Refill() {
   for (size_t i = 0; i < batch_; ++i) {
     uint32_t idx;
     if (!pool_->free_ring_->TryPop(&idx)) {
+      // The ring ran dry: top the batch up with never-issued buffers.
+      uint32_t first = 0;
+      const uint32_t count =
+          pool_->ClaimFresh(static_cast<uint32_t>(batch_ - i), &first);
+      for (uint32_t j = 0; j < count; ++j) {
+        local_.push_back(first + j);
+      }
       break;
     }
     local_.push_back(idx);

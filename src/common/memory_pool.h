@@ -2,9 +2,18 @@
 // uses them (§4.3.1): a statically allocated region registered once, backed by
 // a multi-producer ring so any worker can release buffers after transmission,
 // with per-thread buffer caches to keep the hot path off the shared ring.
+//
+// Buffers are issued on demand. The free ring starts empty; an allocation
+// that finds it empty takes the next never-issued buffer from a monotone
+// `fresh_` index instead. Released buffers circulate through the ring, so the
+// set of buffers ever written is the peak number out at once (plus what the
+// per-thread caches hold), not the whole region: its untouched pages never
+// become resident. The pool is exhausted only when the ring is empty and
+// every buffer has been issued.
 #ifndef PSP_SRC_COMMON_MEMORY_POOL_H_
 #define PSP_SRC_COMMON_MEMORY_POOL_H_
 
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -34,8 +43,12 @@ class MemoryPool {
 
   size_t buffer_size() const { return buffer_size_; }
   size_t num_buffers() const { return num_buffers_; }
-  // Buffers currently available in the shared ring (excludes cached ones).
-  size_t AvailableApprox() const { return free_ring_->SizeApprox(); }
+  // Buffers available to an allocation: those in the shared ring plus those
+  // never issued (excludes cached ones).
+  size_t AvailableApprox() const {
+    return free_ring_->SizeApprox() +
+           (num_buffers_ - fresh_.load(std::memory_order_relaxed));
+  }
 
   // True if ptr points at the start of a buffer owned by this pool.
   bool Owns(const std::byte* ptr) const;
@@ -47,6 +60,10 @@ class MemoryPool {
  private:
   friend class BufferCache;
 
+  // Claims up to `n` never-issued buffer indices with one CAS; writes the
+  // first to *first and returns how many were claimed (0 once all are out).
+  uint32_t ClaimFresh(uint32_t n, uint32_t* first);
+
   struct AlignedDelete {
     void operator()(std::byte* p) const {
       ::operator delete[](p, std::align_val_t{64});
@@ -57,6 +74,9 @@ class MemoryPool {
   size_t num_buffers_;
   std::unique_ptr<std::byte[], AlignedDelete> storage_;
   std::unique_ptr<MpscRing<uint32_t>> free_ring_;
+  // Buffers [0, fresh_) have been issued at least once; the rest have never
+  // been handed out (nor written, so their pages need not be resident).
+  std::atomic<uint32_t> fresh_{0};
 };
 
 // A thread-local allocation cache bound to a MemoryPool. Not thread-safe:

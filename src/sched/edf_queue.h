@@ -15,11 +15,18 @@
 //     late work is the most urgent and drains first, in FIFO order;
 //   * far-future deadlines (tick >= cursor + kBuckets) clamp to the last
 //     ring bucket — ordering beyond the horizon is approximate by design
-//     (the horizon is kBuckets × bucket width ≈ 4.2 s at the 1 µs default,
+//     (the horizon is kBuckets × bucket width ≈ 4.2 ms at the 1 µs default,
 //     far beyond any sane deadline), and requests without a deadline (0)
 //     park there explicitly so deadlined work always goes first.
 // Within a bucket, order is FIFO push order — the deterministic tie-break
 // the replay goldens rely on.
+//
+// Storage holds what is queued, not what ever was: each bucket is a
+// {head, tail} pair of an index-linked FIFO list over one node slab, the
+// layout the timer wheel uses (WheelBucket/WheelNode). The slab grows by
+// doubling up to the peak number queued (at most `capacity`) and recycles
+// popped nodes through a free list; a push links one node at its bucket's
+// tail and a pop unlinks one at the head, never moving the rest.
 //
 // Single-writer discipline mirrors TypedQueue: all mutation happens on the
 // scheduling thread; size/drops are single-writer counters only so
@@ -46,7 +53,9 @@ class EdfQueue {
   // 1 µs — finer than any service time the paper's workloads schedule, so
   // same-bucket ties are genuinely simultaneous deadlines).
   explicit EdfQueue(size_t capacity = 4096, uint32_t bucket_shift = 10)
-      : capacity_(capacity), bucket_shift_(bucket_shift), buckets_(kBuckets) {}
+      : capacity_(capacity),
+        bucket_shift_(bucket_shift),
+        buckets_(kBuckets, Bucket{kNoNode, kNoNode}) {}
 
   // Enqueues by absolute deadline; false (and a counted drop) when the queue
   // is at capacity. Requests with deadline 0 park in the horizon bucket.
@@ -74,8 +83,15 @@ class EdfQueue {
     }
     const uint64_t tick = TickFor(request);
     const uint32_t slot = static_cast<uint32_t>(tick) & (kBuckets - 1);
-    buckets_[slot].push_back(request);
-    occupied_.Set(slot);
+    const uint32_t node = AllocNode(request);
+    Bucket& bucket = buckets_[slot];
+    if (bucket.head == kNoNode) {
+      bucket.head = node;
+      occupied_.Set(slot);
+    } else {
+      nodes_[bucket.tail].next = node;
+    }
+    bucket.tail = node;
     size_.Store(size + 1);
     return true;
   }
@@ -89,12 +105,18 @@ class EdfQueue {
       return false;
     }
     const uint32_t slot = FindFirstOccupied();
-    auto& bucket = buckets_[slot];
-    *out = bucket.front();
-    bucket.erase(bucket.begin());
-    if (bucket.empty()) {
+    Bucket& bucket = buckets_[slot];
+    const uint32_t node = bucket.head;
+    *out = nodes_[node].request;
+    if (node == bucket.tail) {
+      bucket.head = kNoNode;
+      bucket.tail = kNoNode;
       occupied_.Clear(slot);
+    } else {
+      bucket.head = nodes_[node].next;
     }
+    nodes_[node].next = free_head_;
+    free_head_ = node;
     // Commit the cursor to the popped bucket so the ring window stays
     // anchored at the earliest live deadline.
     cursor_ = AbsoluteTickOf(slot);
@@ -107,7 +129,7 @@ class EdfQueue {
     if (Empty()) {
       return false;
     }
-    *out = buckets_[FindFirstOccupied()].front();
+    *out = nodes_[buckets_[FindFirstOccupied()].head].request;
     return true;
   }
 
@@ -117,6 +139,33 @@ class EdfQueue {
   Nanos bucket_width() const { return Nanos{1} << bucket_shift_; }
 
  private:
+  static constexpr uint32_t kNoNode = UINT32_MAX;
+
+  // A queued request and the index of the next node in its bucket's list (or
+  // in the free list once popped). A bucket's tail carries a stale `next`:
+  // lists end at Bucket::tail, not at a sentinel.
+  struct Node {
+    Request request;
+    uint32_t next;
+  };
+
+  // An empty bucket has head == tail == kNoNode.
+  struct Bucket {
+    uint32_t head;
+    uint32_t tail;
+  };
+
+  uint32_t AllocNode(const Request& request) {
+    if (free_head_ != kNoNode) {
+      const uint32_t node = free_head_;
+      free_head_ = nodes_[node].next;
+      nodes_[node].request = request;
+      return node;
+    }
+    nodes_.push_back(Node{request, kNoNode});
+    return static_cast<uint32_t>(nodes_.size() - 1);
+  }
+
   // Ring tick for a request: deadline bucket clamped into the live window.
   uint64_t TickFor(const Request& request) const {
     if (request.deadline <= 0) {
@@ -156,7 +205,9 @@ class EdfQueue {
 
   size_t capacity_;
   uint32_t bucket_shift_;
-  std::vector<std::vector<Request>> buckets_;
+  std::vector<Bucket> buckets_;
+  std::vector<Node> nodes_;
+  uint32_t free_head_ = kNoNode;  // first recycled node; kNoNode when none
   FfsBitmap<kBuckets> occupied_;
   uint64_t cursor_ = 0;   // absolute tick of the earliest live bucket
   SingleWriterCounter<size_t> size_;

@@ -129,9 +129,9 @@ INSTANTIATE_TEST_SUITE_P(
                                          "static-partition", "darc"),
                        ::testing::Values("high-bimodal", "extreme-bimodal",
                                          "tpcc", "rocksdb", "fb-usr")),
-    [](const auto& info) {
-      std::string name = std::string(std::get<0>(info.param)) + "_" +
-                         std::get<1>(info.param);
+    [](const auto& test_info) {
+      std::string name = std::string(std::get<0>(test_info.param)) + "_" +
+                         std::get<1>(test_info.param);
       for (auto& c : name) {
         if (c == '-') {
           c = '_';

@@ -8,6 +8,7 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <set>
 #include <sstream>
 #include <string>
 
@@ -346,6 +347,47 @@ TEST(Runtime, TracingOffIgnoresWireTraceFlag) {
   EXPECT_TRUE(snap.traces.empty());
   EXPECT_EQ(snap.counter("telemetry.traces_recorded"), 0u);
   EXPECT_EQ(server.scheduler().completed(), kRequests);
+  EXPECT_EQ(server.pool().AvailableApprox(), server.pool().num_buffers());
+}
+
+TEST(Runtime, SequentialRequestsRecycleAHandfulOfBuffers) {
+  // One request in flight at a time: the pool issues buffers on demand and
+  // recycles released ones, so the frames seen at egress are a handful, not
+  // one per request (a ring pre-filled in FIFO order would walk 1000).
+  Persephone server(SmallRuntime());
+  server.RegisterType(1, "T", MakeSpinHandler(), FromMicros(1), 1.0);
+  server.Start();
+
+  constexpr uint64_t kRequests = 1000;
+  const TscClock& clock = TscClock::Global();
+  const Nanos deadline = clock.Now() + 10 * kSecond;
+  std::set<const std::byte*> frames;
+  uint64_t echoed = 0;
+  while (echoed < kRequests && clock.Now() < deadline) {
+    std::byte* buf = server.pool().AllocGlobal();
+    ASSERT_NE(buf, nullptr);
+    RequestFrame frame;
+    frame.flow = FlowTuple{0x0A000001u, 0x0A0000FFu, 4000, 6789};
+    frame.request_type = 1;
+    frame.request_id = echoed;
+    frame.client_id = 1;
+    const uint32_t len =
+        BuildRequestPacket(frame, buf, server.pool().buffer_size());
+    ASSERT_GT(len, 0u);
+    ASSERT_TRUE(server.nic().DeliverToQueue(0, PacketRef{buf, len}));
+    PacketRef response;
+    while (!server.nic().PollEgress(&response) && clock.Now() < deadline) {
+      std::this_thread::yield();
+    }
+    ASSERT_NE(response.data, nullptr) << "no response to request " << echoed;
+    frames.insert(response.data);
+    server.pool().FreeGlobal(response.data);
+    ++echoed;
+  }
+  server.Stop();
+
+  EXPECT_EQ(echoed, kRequests);
+  EXPECT_LE(frames.size(), 8u);
   EXPECT_EQ(server.pool().AvailableApprox(), server.pool().num_buffers());
 }
 

@@ -2,12 +2,16 @@
 // out in ascending deadline order, same-bucket ties break FIFO (the replay
 // goldens rely on that determinism), edge deadlines (late / far-future /
 // none) clamp deterministically, capacity drops are counted, and the cursor
-// re-anchors across idle gaps.
+// re-anchors across idle gaps. A seeded differential run checks all of that
+// at once against a reference keyed by absolute tick.
 #include "src/sched/edf_queue.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <deque>
+#include <map>
+#include <random>
 #include <vector>
 
 namespace psp {
@@ -166,6 +170,146 @@ TEST(EdfQueue, InterleavedPushPopKeepsGlobalOrder) {
   EXPECT_EQ(out.id, 3u);
   ASSERT_TRUE(q.PopEarliest(&out));
   EXPECT_EQ(out.id, 2u);
+}
+
+// The queue's contract without its ring: one FIFO per absolute deadline tick,
+// with the same clamping (late -> cursor tick, beyond the horizon or no
+// deadline -> cursor + kBuckets - 1), the same empty-queue re-anchor and the
+// same capacity drops. It never maps a tick to a ring slot, so any slot
+// arithmetic, bucket-list or node-recycling fault in EdfQueue diverges.
+class ReferenceEdf {
+ public:
+  ReferenceEdf(size_t capacity, uint32_t bucket_shift)
+      : capacity_(capacity), shift_(bucket_shift) {}
+
+  bool Push(const Request& r) {
+    if (size_ == capacity_) {
+      ++drops_;
+      return false;
+    }
+    if (size_ == 0) {
+      const Nanos anchor = r.arrival > 0 ? r.arrival : r.deadline;
+      if (anchor > 0) {
+        cursor_ = static_cast<uint64_t>(anchor) >> shift_;
+      }
+    }
+    const uint64_t horizon = cursor_ + EdfQueue::kBuckets - 1;
+    uint64_t tick = horizon;
+    if (r.deadline > 0) {
+      tick = std::clamp(static_cast<uint64_t>(r.deadline) >> shift_, cursor_,
+                        horizon);
+    }
+    ticks_[tick].push_back(r);
+    ++size_;
+    return true;
+  }
+
+  bool Pop(Request* out) {
+    if (size_ == 0) {
+      return false;
+    }
+    auto earliest = ticks_.begin();
+    *out = earliest->second.front();
+    earliest->second.pop_front();
+    cursor_ = earliest->first;
+    if (earliest->second.empty()) {
+      ticks_.erase(earliest);
+    }
+    --size_;
+    return true;
+  }
+
+  const Request& Earliest() const { return ticks_.begin()->second.front(); }
+  size_t size() const { return size_; }
+  uint64_t drops() const { return drops_; }
+  uint64_t cursor() const { return cursor_; }
+
+ private:
+  size_t capacity_;
+  uint32_t shift_;
+  std::map<uint64_t, std::deque<Request>> ticks_;
+  uint64_t cursor_ = 0;
+  size_t size_ = 0;
+  uint64_t drops_ = 0;
+};
+
+TEST(EdfQueue, MatchesReferenceOverSeededOperationMix) {
+  // 200k operations on a clock that crosses the 4096-bucket ring dozens of
+  // times while entries stay queued, with late, near, beyond-horizon and
+  // zero deadlines, bursts that hit capacity, full drains that re-anchor an
+  // empty ring, and idle gaps of several horizons. Every pop, peek, size and
+  // drop count must match the reference.
+  constexpr size_t kCapacity = 512;
+  EdfQueue q(kCapacity);
+  ReferenceEdf ref(kCapacity, /*bucket_shift=*/10);
+  const Nanos width = q.bucket_width();
+  const Nanos horizon = width * EdfQueue::kBuckets;
+  std::mt19937_64 rng(20211026);
+  std::uniform_int_distribution<int> pct(0, 99);
+
+  Nanos now = horizon;  // late deadlines stay positive
+  uint64_t next_id = 1;
+  uint64_t pops = 0;
+  uint64_t reanchors = 0;
+  uint64_t first_live_tick = 0;  // cursor when the queue last became non-empty
+  uint64_t max_live_span_ticks = 0;  // furthest the cursor moved since then
+  int push_bias = 50;  // percent of operations that push; drifts in phases
+  for (int op = 0; op < 200'000; ++op) {
+    now += static_cast<Nanos>(rng() % (2 * width));
+    if (op % 4'000 == 0) {
+      push_bias = 30 + pct(rng) * 45 / 100;  // 30..74: drain or fill phases
+    }
+    if (pct(rng) == 0 && op % 7 == 0) {
+      now += static_cast<Nanos>(1 + rng() % 5) * horizon;  // idle gap
+    }
+    if (pct(rng) < push_bias) {
+      Request r;
+      r.id = next_id++;
+      r.arrival = pct(rng) < 3 ? 0 : now;
+      const int kind = pct(rng);
+      if (kind < 10) {
+        r.deadline = 0;  // no deadline: parks at the horizon
+      } else if (kind < 25) {
+        r.deadline = now - static_cast<Nanos>(rng() % horizon);  // late
+      } else if (kind < 35) {
+        r.deadline = now + horizon + static_cast<Nanos>(rng() % horizon);
+      } else if (kind < 60) {
+        r.deadline = now + static_cast<Nanos>(rng() % (8 * width));  // ties
+      } else {
+        r.deadline = now + static_cast<Nanos>(rng() % horizon);
+      }
+      const bool was_empty = ref.size() == 0;
+      ASSERT_EQ(q.Push(r), ref.Push(r)) << "op " << op;
+      if (was_empty) {
+        ++reanchors;
+        first_live_tick = ref.cursor();
+      }
+    } else {
+      Request got;
+      Request want;
+      const bool ok = q.PopEarliest(&got);
+      ASSERT_EQ(ok, ref.Pop(&want)) << "op " << op;
+      if (ok) {
+        ASSERT_EQ(got.id, want.id) << "op " << op;
+        ASSERT_EQ(got.deadline, want.deadline);
+        ++pops;
+      }
+    }
+    ASSERT_EQ(q.Size(), ref.size()) << "op " << op;
+    ASSERT_EQ(q.drops(), ref.drops()) << "op " << op;
+    if (ref.size() > 0) {
+      max_live_span_ticks =
+          std::max(max_live_span_ticks, ref.cursor() - first_live_tick);
+      Request peek;
+      ASSERT_TRUE(q.PeekEarliest(&peek));
+      ASSERT_EQ(peek.id, ref.Earliest().id) << "op " << op;
+    }
+  }
+  // The run must actually have exercised what it claims to.
+  EXPECT_GT(q.drops(), 1'000u);
+  EXPECT_GT(reanchors, 100u);
+  EXPECT_GT(pops, 50'000u);
+  EXPECT_GT(max_live_span_ticks, 10u * EdfQueue::kBuckets);
 }
 
 }  // namespace

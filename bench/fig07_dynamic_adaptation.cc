@@ -14,11 +14,8 @@
 //                               cores; pending B requests drain on the
 //                               spillway core
 #include <cstdio>
-#include <cstdlib>
 
 #include "bench/bench_util.h"
-#include "src/telemetry/slo.h"
-#include "src/telemetry/trace_export.h"
 
 namespace psp {
 namespace bench {
@@ -135,19 +132,6 @@ void Main() {
                       std::to_string(a), std::to_string(b)});
     }
     updates.Print();
-
-    // Optional Perfetto export: PSP_TRACE_OUT=/path/trace.json then load the
-    // file in https://ui.perfetto.dev (docs/OBSERVABILITY.md).
-    if (const char* trace_out = std::getenv("PSP_TRACE_OUT")) {
-      const std::string json =
-          ExportCatapultTrace(engine.telemetry_snapshot());
-      if (WriteTextFile(trace_out, json)) {
-        std::printf("\nwrote Perfetto trace to %s (%zu bytes)\n", trace_out,
-                    json.size());
-      } else {
-        std::printf("\nfailed to write Perfetto trace to %s\n", trace_out);
-      }
-    }
     std::printf("\n");
   }
 

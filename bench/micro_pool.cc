@@ -5,7 +5,6 @@
 #include "src/common/histogram.h"
 #include "src/common/memory_pool.h"
 #include "src/net/packet.h"
-#include "src/net/rss.h"
 
 namespace psp {
 namespace {
@@ -56,16 +55,6 @@ void BM_FormatResponseInPlace(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_FormatResponseInPlace);
-
-void BM_ToeplitzHash(benchmark::State& state) {
-  FlowTuple flow{0x0A000001, 0x0A000002, 1234, 6789};
-  for (auto _ : state) {
-    const uint32_t h = ToeplitzHash(flow);
-    benchmark::DoNotOptimize(h);
-    ++flow.src_port;
-  }
-}
-BENCHMARK(BM_ToeplitzHash);
 
 void BM_HistogramAdd(benchmark::State& state) {
   Histogram h;

@@ -50,8 +50,7 @@ TimeSeriesRecorder* MakeRecorder(uint32_t sample_every) {
   config.slowdown_sample_every = sample_every;
   auto* recorder = new TimeSeriesRecorder(config);
   recorder->RegisterSeries(0, "UNKNOWN");
-  const size_t slot = recorder->RegisterSeries(1, "S");
-  recorder->SetSlowdownTarget(slot, 10.0);  // violation check included
+  recorder->RegisterSeries(1, "S");
   return recorder;
 }
 

@@ -59,6 +59,15 @@
 #                       exponential shape of the real sends at 200k req/s.
 #                       Tier-2 because preemption on a loaded host stretches
 #                       the gaps; ctest judges the deterministic schedule.
+#   coverage          - which src/ lines production entry points never run:
+#                       an -O0 --coverage build (default build-coverage/)
+#                       driven only as a user would drive it — the 16
+#                       figure/table binaries at PSP_BENCH_DURATION_MS=50,
+#                       the example_* ctests, quickstart, fleet_demo and the
+#                       introspect, fleet, ingress, trace, profile and
+#                       deadline smokes; no unit test runs. gcov's JSON
+#                       output, merged over every object, gives never-run and
+#                       executable src/ lines per file and in total.
 #   e2e               - frozen end-to-end benchmark (bench/e2e, declared in
 #                       BENCHMARK.json): configure it fresh in a mktemp -d
 #                       build directory, build psp_e2e and psp_e2e_server and
@@ -66,7 +75,7 @@
 #                       the benchmark's build, its metric names or its
 #                       server's thread-pinning check fails here.
 #   all               - all of the above.
-# Usage: scripts/check.sh [address|thread|bench|introspect|fleet|ingress|trace|profile|deadline|pacing|e2e|all] [build-dir]
+# Usage: scripts/check.sh [address|thread|bench|introspect|fleet|ingress|trace|profile|deadline|pacing|coverage|e2e|all] [build-dir]
 set -eu
 MODE=${1:-address}
 ROOT="$(cd "$(dirname "$0")/.." && pwd)"
@@ -628,6 +637,84 @@ run_pacing() {
   echo "pacing OK"
 }
 
+# Production-entry-point coverage: which src/ lines no figure, example, tool
+# or smoke ever executes. Counters are zeroed after the build, so the report
+# covers exactly the runs below; bench/e2e builds its own tree and is not
+# part of it.
+run_coverage() {
+  local build=${1:-build-coverage}
+  local figures="fig01_case_for_idling fig03_high_bimodal_policies
+    fig04_darc_static fig05_bimodal_systems fig06_tpcc
+    fig07_dynamic_adaptation fig08_rocksdb fig09_random_classifier
+    fig10_preemption_overheads fig_deadline fig_fleet_policies
+    ext_elastic_allocator ext_nmodal_workloads ext_service_distributions
+    ablation_darc_knobs tab_policy_taxonomy"
+  cmake -B "$build" -S . -DCMAKE_BUILD_TYPE=Debug -DPSP_SANITIZE=OFF \
+    -DCMAKE_CXX_FLAGS="-O0 --coverage" \
+    -DCMAKE_EXE_LINKER_FLAGS="--coverage" >/dev/null
+  # shellcheck disable=SC2086
+  cmake --build "$build" -j "$(nproc)" --target $figures quickstart \
+    kv_server tpcc_service policy_explorer inference_server trace_tool \
+    fleet_demo udp_server pspctl psp_loadgen psp_tracejoin
+  find "$build" -name '*.gcda' -delete
+  local f
+  for f in $figures; do
+    PSP_BENCH_DURATION_MS=50 "$build/bench/$f" >/dev/null
+  done
+  ctest --test-dir "$build" --output-on-failure --no-tests=error \
+    -R '^example_'
+  "$build/examples/quickstart" >/dev/null
+  rm -rf "$build/coverage_fleet"
+  "$build/examples/fleet_demo" --out "$build/coverage_fleet" >/dev/null
+  run_introspect "$build"
+  run_fleet "$build"
+  run_ingress "$build"
+  run_trace "$build"
+  run_profile "$build"
+  run_deadline "$build"
+  python3 - "$ROOT" "$build" <<'PY'
+import json, os, subprocess, sys, tempfile
+root, build = os.path.realpath(sys.argv[1]), os.path.realpath(sys.argv[2])
+src = os.path.join(root, "src") + os.sep
+# file -> {line: executed}; a line is executable if any object's gcov record
+# lists it (header code lands in many objects) and ran if any count is > 0.
+lines = {}
+objects = []
+for top in ("src", "bench", "examples", "tools"):
+    for d, _, files in os.walk(os.path.join(build, top)):
+        objects += [os.path.join(d, f) for f in files if f.endswith(".gcno")]
+with tempfile.TemporaryDirectory() as scratch:
+    for gcno in objects:
+        # An object without .gcda was never run; gcov reports it as such.
+        out = subprocess.run(
+            ["gcov", "--json-format", "--stdout", "--object-directory",
+             os.path.dirname(gcno), gcno],
+            cwd=scratch, capture_output=True, text=True, check=True).stdout
+        for doc in filter(None, out.splitlines()):
+            report = json.loads(doc)
+            for entry in report["files"]:
+                path = os.path.normpath(os.path.join(
+                    report["current_working_directory"], entry["file"]))
+                if not path.startswith(src):
+                    continue
+                seen = lines.setdefault(path[len(root) + 1:], {})
+                for line in entry["lines"]:
+                    n = line["line_number"]
+                    seen[n] = seen.get(n, False) or line["count"] > 0
+if not lines:
+    sys.exit("coverage: gcov reported no src/ lines")
+total_never = total = 0
+print(f"{'never':>6} {'exec':>6}  file")
+for path in sorted(lines):
+    never = sum(1 for ran in lines[path].values() if not ran)
+    total_never += never
+    total += len(lines[path])
+    print(f"{never:6d} {len(lines[path]):6d}  {path}")
+print(f"{total_never:6d} {total:6d}  total: {100.0 * total_never / total:.1f}% "
+      "of executable src/ lines never ran")
+PY
+}
+
 case "$MODE" in
   address) run_address "${2:-build-asan}" ;;
   thread)  run_thread "${2:-build-tsan}" ;;
@@ -639,11 +726,12 @@ case "$MODE" in
   trace)   run_trace "${2:-build}" ;;
   deadline) run_deadline "${2:-build}" ;;
   pacing)  run_pacing "${2:-build}" ;;
+  coverage) run_coverage "${2:-build-coverage}" ;;
   e2e)     run_e2e ;;
   all)     run_address build-asan; run_thread build-tsan; run_fleet build;
            run_ingress build; run_profile build; run_trace build;
            run_deadline build; run_pacing build; run_e2e;
            run_bench build-bench ;;
-  *) echo "usage: scripts/check.sh [address|thread|bench|introspect|fleet|ingress|trace|profile|deadline|pacing|e2e|all] [build-dir]" >&2
+  *) echo "usage: scripts/check.sh [address|thread|bench|introspect|fleet|ingress|trace|profile|deadline|pacing|coverage|e2e|all] [build-dir]" >&2
      exit 2 ;;
 esac

@@ -1,22 +1,9 @@
 #include "src/common/distributions.h"
 
 #include <algorithm>
-#include <sstream>
 #include <stdexcept>
 
 namespace psp {
-
-std::string FixedDistribution::Describe() const {
-  std::ostringstream os;
-  os << "Fixed(" << ToMicros(value_) << "us)";
-  return os.str();
-}
-
-std::string ExponentialDistribution::Describe() const {
-  std::ostringstream os;
-  os << "Exp(mean=" << mean_ / 1e3 << "us)";
-  return os.str();
-}
 
 LognormalDistribution::LognormalDistribution(double mean_nanos, double sigma)
     : mean_(mean_nanos), sigma_(sigma) {
@@ -38,18 +25,6 @@ Nanos LognormalDistribution::Sample(Rng& rng) const {
       std::sqrt(-2.0 * std::log(u1)) * std::cos(2.0 * M_PI * u2);
   const double v = std::exp(mu_ + sigma_ * z);
   return static_cast<Nanos>(v) + 1;
-}
-
-std::string LognormalDistribution::Describe() const {
-  std::ostringstream os;
-  os << "Lognormal(mean=" << mean_ / 1e3 << "us, sigma=" << sigma_ << ")";
-  return os.str();
-}
-
-std::string UniformDistribution::Describe() const {
-  std::ostringstream os;
-  os << "Uniform(" << ToMicros(lo_) << "us, " << ToMicros(hi_) << "us)";
-  return os.str();
 }
 
 DiscreteMixture::DiscreteMixture(std::vector<Component> components)
@@ -85,30 +60,6 @@ MixtureDraw DiscreteMixture::SampleDraw(Rng& rng) const {
       std::min<size_t>(static_cast<size_t>(it - cumulative_.begin()),
                        components_.size() - 1));
   return MixtureDraw{mode, components_[mode].dist->Sample(rng)};
-}
-
-std::string DiscreteMixture::Describe() const {
-  std::ostringstream os;
-  os << "Mixture[";
-  for (size_t i = 0; i < components_.size(); ++i) {
-    if (i > 0) {
-      os << ", ";
-    }
-    os << components_[i].ratio * 100 << "% " << components_[i].dist->Describe();
-  }
-  os << "]";
-  return os.str();
-}
-
-std::shared_ptr<const DiscreteMixture> MakeModalMixture(
-    const std::vector<ModeSpec>& modes) {
-  std::vector<DiscreteMixture::Component> components;
-  components.reserve(modes.size());
-  for (const auto& m : modes) {
-    components.push_back(DiscreteMixture::Component{
-        m.ratio, std::make_shared<FixedDistribution>(FromMicros(m.microseconds))});
-  }
-  return std::make_shared<DiscreteMixture>(std::move(components));
 }
 
 }  // namespace psp

@@ -10,7 +10,6 @@
 #include <cmath>
 #include <cstdint>
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "src/common/rng.h"
@@ -31,7 +30,6 @@ class Distribution {
   virtual ~Distribution() = default;
   virtual Nanos Sample(Rng& rng) const = 0;
   virtual double MeanNanos() const = 0;
-  virtual std::string Describe() const = 0;
 };
 
 // Always returns the same value.
@@ -40,7 +38,6 @@ class FixedDistribution final : public Distribution {
   explicit FixedDistribution(Nanos value) : value_(value) {}
   Nanos Sample(Rng&) const override { return value_; }
   double MeanNanos() const override { return static_cast<double>(value_); }
-  std::string Describe() const override;
 
  private:
   Nanos value_;
@@ -60,7 +57,6 @@ class ExponentialDistribution final : public Distribution {
     return static_cast<Nanos>(v) + 1;  // strictly positive
   }
   double MeanNanos() const override { return mean_; }
-  std::string Describe() const override;
 
  private:
   double mean_;
@@ -73,30 +69,11 @@ class LognormalDistribution final : public Distribution {
   LognormalDistribution(double mean_nanos, double sigma);
   Nanos Sample(Rng& rng) const override;
   double MeanNanos() const override { return mean_; }
-  std::string Describe() const override;
 
  private:
   double mean_;
   double mu_;
   double sigma_;
-};
-
-// Uniform over [lo, hi].
-class UniformDistribution final : public Distribution {
- public:
-  UniformDistribution(Nanos lo, Nanos hi) : lo_(lo), hi_(hi) {}
-  Nanos Sample(Rng& rng) const override {
-    return lo_ + static_cast<Nanos>(
-                     rng.NextBounded(static_cast<uint64_t>(hi_ - lo_ + 1)));
-  }
-  double MeanNanos() const override {
-    return 0.5 * (static_cast<double>(lo_) + static_cast<double>(hi_));
-  }
-  std::string Describe() const override;
-
- private:
-  Nanos lo_;
-  Nanos hi_;
 };
 
 // Discrete mixture of component distributions with occurrence ratios; this is
@@ -113,7 +90,6 @@ class DiscreteMixture final : public Distribution {
   // Distribution interface: samples a mode, then its service time.
   Nanos Sample(Rng& rng) const override { return SampleDraw(rng).service_time; }
   double MeanNanos() const override { return mean_; }
-  std::string Describe() const override;
 
   // Returns both the mode index and the drawn service time.
   MixtureDraw SampleDraw(Rng& rng) const;
@@ -128,15 +104,6 @@ class DiscreteMixture final : public Distribution {
   std::vector<double> cumulative_;     // prefix sums of ratios
   double mean_ = 0;
 };
-
-// Convenience constructors for the paper's workload mixes.
-// Each mode is a fixed service time with an occurrence ratio.
-struct ModeSpec {
-  double microseconds;
-  double ratio;
-};
-std::shared_ptr<const DiscreteMixture> MakeModalMixture(
-    const std::vector<ModeSpec>& modes);
 
 // A Poisson arrival process: exponential gaps with mean 1/rate.
 class PoissonProcess {

@@ -52,12 +52,4 @@ void Histogram::Merge(const Histogram& other) {
   sum_ += other.sum_;
 }
 
-void Histogram::Reset() {
-  std::fill(counts_.begin(), counts_.end(), 0);
-  count_ = 0;
-  sum_ = 0;
-  max_ = 0;
-  min_ = 0;
-}
-
 }  // namespace psp

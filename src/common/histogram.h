@@ -48,7 +48,6 @@ class Histogram {
   int64_t Min() const { return count_ == 0 ? 0 : min_; }
 
   void Merge(const Histogram& other);
-  void Reset();
 
  private:
   static constexpr uint64_t kSubBucketBits = 11;  // 2048 sub-buckets per tier

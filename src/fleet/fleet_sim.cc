@@ -6,7 +6,7 @@
 #include <cerrno>
 #include <cmath>
 
-#include "src/telemetry/slo.h"
+#include "src/introspect/offline.h"
 
 namespace psp {
 

@@ -67,18 +67,6 @@ bool WriteAll(int fd, const char* data, size_t len) {
   return true;
 }
 
-// Splits "a=b" into key/value; returns false when '=' is missing.
-bool SplitKeyValue(const std::string& line, std::string* key,
-                   std::string* value) {
-  const size_t eq = line.find('=');
-  if (eq == std::string::npos || eq == 0) {
-    return false;
-  }
-  *key = line.substr(0, eq);
-  *value = line.substr(eq + 1);
-  return true;
-}
-
 }  // namespace
 
 std::string AdminConfig::Validate() const {
@@ -338,6 +326,8 @@ void AdminServer::HandleConnection(int fd) {
       }
     }
 
+    // No route takes a body, but one the client sends is still read in full
+    // (bounded) so the answer never races the peer's unfinished write.
     std::string body;
     if (content_length > kMaxBodyBytes) {
       status = 400;
@@ -358,9 +348,7 @@ void AdminServer::HandleConnection(int fd) {
         status = 400;
         response = "truncated body\n";
       } else {
-        body.resize(content_length);
-        HandleRequest(method, path, query, body, &status, &content_type,
-                      &response);
+        HandleRequest(method, path, query, &status, &content_type, &response);
       }
     }
   }
@@ -382,8 +370,7 @@ void AdminServer::HandleConnection(int fd) {
 
 void AdminServer::HandleRequest(const std::string& method,
                                 const std::string& path,
-                                const std::string& query,
-                                const std::string& body, int* status,
+                                const std::string& query, int* status,
                                 std::string* content_type,
                                 std::string* response) {
   const auto not_wired = [&](const char* what) {
@@ -461,20 +448,6 @@ void AdminServer::HandleRequest(const std::string& method,
   }
 
   if (method == "POST") {
-    if (path == "/trace/start") {
-      run_post(hooks_.trace_start, "trace capture",
-               "application/json");
-      return;
-    }
-    if (path == "/trace/stop") {
-      run_post(hooks_.trace_stop, "trace capture", "application/json");
-      return;
-    }
-    if (path == "/flightrecorder/dump") {
-      run_post(hooks_.flight_dump, "flight recorder",
-               "text/plain; charset=utf-8");
-      return;
-    }
     if (path == "/profile/start") {
       if (!hooks_.profile_start) {
         not_wired("profiler");
@@ -489,52 +462,6 @@ void AdminServer::HandleRequest(const std::string& method,
     }
     if (path == "/profile/stop") {
       run_post(hooks_.profile_stop, "profiler", "application/json");
-      return;
-    }
-    if (path == "/config") {
-      if (!hooks_.set_config) {
-        not_wired("runtime config");
-        return;
-      }
-      // Body: one key=value per line ('&' also accepted as a separator so a
-      // urlencoded-style body works).
-      size_t applied = 0;
-      size_t pos = 0;
-      while (pos <= body.size()) {
-        size_t end = body.find_first_of("\n&", pos);
-        if (end == std::string::npos) {
-          end = body.size();
-        }
-        std::string line = body.substr(pos, end - pos);
-        pos = end + 1;
-        while (!line.empty() && (line.back() == '\r' || line.back() == ' ')) {
-          line.pop_back();
-        }
-        if (line.empty()) {
-          continue;
-        }
-        std::string key, value;
-        if (!SplitKeyValue(line, &key, &value)) {
-          *status = 400;
-          *response = "expected key=value, got: " + line + "\n";
-          return;
-        }
-        const std::string error = hooks_.set_config(key, value);
-        if (!error.empty()) {
-          *status = 400;
-          *response = error + "\n";
-          return;
-        }
-        ++applied;
-      }
-      if (applied == 0) {
-        *status = 400;
-        *response = "empty config body\n";
-        return;
-      }
-      *content_type = "application/json";
-      *response =
-          "{\"ok\":true,\"applied\":" + std::to_string(applied) + "}\n";
       return;
     }
     *status = 404;

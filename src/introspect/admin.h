@@ -1,10 +1,10 @@
 // The live admin plane: a dependency-free HTTP/1.1 endpoint served from one
 // dedicated thread over loopback TCP and/or a Unix-domain socket. This is
-// the *serving* side of observability — everything PRs 1–2 record
-// (snapshot, time series, Perfetto capture, flight recorder) plus the
-// tail-outlier ring becomes scrapeable while the server runs, with the
-// polling cost kept entirely off the data path: a scrape assembles one
-// snapshot on the admin thread, the hot path never blocks on it.
+// the *serving* side of observability — the snapshot, time series, sampled
+// lifecycle records, tail-outlier ring and CPU profile become scrapeable
+// while the server runs, with the polling cost kept entirely off the data
+// path: a scrape assembles one snapshot on the admin thread, the hot path
+// never blocks on it.
 //
 // Security posture: the TCP listener binds 127.0.0.1 only (never a routable
 // interface) and the UDS path inherits filesystem permissions; there is no
@@ -19,13 +19,8 @@
 //   GET  /lifecycle.json       sampled per-request lifecycle records
 //   GET  /healthz              liveness probe ("ok")
 //   GET  /profile.folded       collected CPU samples as folded stacks
-//   POST /trace/start          arm an on-demand bounded Perfetto capture
-//   POST /trace/stop           finish the capture, returns the trace JSON
-//   POST /profile/start        arm the sampling profiler (?hz=99&dur=10)
+//   POST /profile/start        arm the sampling profiler (?hz=99)
 //   POST /profile/stop         disarm it (samples stay readable)
-//   POST /flightrecorder/dump  build + return a flight record now
-//   POST /config               runtime knobs: body "key=value" per line
-//                              (sampling=N, slo.<TYPE>.slowdown=X)
 #ifndef PSP_SRC_INTROSPECT_ADMIN_H_
 #define PSP_SRC_INTROSPECT_ADMIN_H_
 
@@ -69,20 +64,13 @@ struct AdminHooks {
   std::function<std::string()> lifecycle_json;
   // POST handlers return the response body; on failure they return "" and
   // set *error (the server answers 409 with the error text).
-  std::function<std::string(std::string* error)> trace_start;
-  std::function<std::string(std::string* error)> trace_stop;
-  std::function<std::string(std::string* error)> flight_dump;
-  // POST /profile/start: receives the raw query string ("hz=99&dur=10");
-  // same body/error contract as the other POST hooks (409 on conflict, e.g.
-  // a capture already running).
+  // POST /profile/start receives the raw query string ("hz=99"); an error
+  // covers a bad query as well as a capture already running.
   std::function<std::string(const std::string& query, std::string* error)>
       profile_start;
   std::function<std::string(std::string* error)> profile_stop;
   // GET /profile.folded: folded-stack text of the last/live capture.
   std::function<std::string()> profile_folded;
-  // Applies one key=value pair; returns "" on success, else the error.
-  std::function<std::string(const std::string& key, const std::string& value)>
-      set_config;
 };
 
 // Builds the /timeseries.json body from a snapshot by re-exporting only the
@@ -123,9 +111,8 @@ class AdminServer {
   // Dispatches one parsed request; fills status/content_type/body. `query`
   // is the raw query string (text after '?'), "" when absent.
   void HandleRequest(const std::string& method, const std::string& path,
-                     const std::string& query, const std::string& body,
-                     int* status, std::string* content_type,
-                     std::string* response);
+                     const std::string& query, int* status,
+                     std::string* content_type, std::string* response);
 
   AdminConfig config_;
   AdminHooks hooks_;

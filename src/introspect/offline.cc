@@ -3,12 +3,22 @@
 #include <sys/stat.h>
 
 #include <cerrno>
+#include <cstdio>
 
 #include "src/introspect/admin.h"
 #include "src/introspect/prometheus.h"
-#include "src/telemetry/slo.h"
 
 namespace psp {
+
+bool WriteTextFile(const std::string& path, const std::string& contents) {
+  std::FILE* f = std::fopen(path.c_str(), "w");
+  if (f == nullptr) {
+    return false;
+  }
+  const size_t written = std::fwrite(contents.data(), 1, contents.size(), f);
+  const int close_rc = std::fclose(f);
+  return written == contents.size() && close_rc == 0;
+}
 
 std::string WriteIntrospectionFiles(const std::string& dir,
                                     const TelemetrySnapshot& snapshot,

@@ -22,6 +22,9 @@ std::string WriteIntrospectionFiles(const std::string& dir,
                                     const TelemetrySnapshot& snapshot,
                                     const OutlierRecorder* outliers);
 
+// Best-effort whole-file write; returns false on I/O failure.
+bool WriteTextFile(const std::string& path, const std::string& contents);
+
 }  // namespace psp
 
 #endif  // PSP_SRC_INTROSPECT_OFFLINE_H_

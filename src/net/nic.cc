@@ -13,16 +13,6 @@ SimulatedNic::SimulatedNic(uint32_t num_queues, size_t queue_depth,
   }
 }
 
-bool SimulatedNic::DeliverFromWire(PacketRef packet) {
-  const auto parsed = ParseRequestPacket(packet.data, packet.length);
-  if (!parsed.has_value()) {
-    rx_drops_.fetch_add(1, std::memory_order_relaxed);
-    return false;
-  }
-  const uint32_t queue = RssQueueForFlow(parsed->flow, num_queues_);
-  return DeliverToQueue(queue, packet);
-}
-
 bool SimulatedNic::DeliverToQueue(uint32_t queue, PacketRef packet) {
   // NIC-hardware-style RX timestamping (one rdtsc per frame): downstream
   // telemetry reads this as the lifecycle rx stamp.

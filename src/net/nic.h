@@ -1,5 +1,5 @@
 // A simulated NIC for the threaded runtime: hardware RX/TX queue pairs backed
-// by lock-free rings, RSS steering on ingress, and per-thread NetworkContexts
+// by lock-free rings, and per-thread NetworkContexts
 // that give each worker "unique access to receive and transmit queues in the
 // NIC" (paper §4.3.1).
 //
@@ -17,7 +17,6 @@
 #include "src/common/memory_pool.h"
 #include "src/common/spsc_ring.h"
 #include "src/net/packet.h"
-#include "src/net/rss.h"
 
 namespace psp {
 
@@ -41,11 +40,8 @@ class SimulatedNic {
   // frames must live in pool buffers.
   SimulatedNic(uint32_t num_queues, size_t queue_depth, MemoryPool* pool);
 
-  // "Wire" ingress: steers a frame to an RX queue via RSS on its flow tuple.
-  // Returns false (drop) when the queue is full or the frame is malformed.
-  bool DeliverFromWire(PacketRef packet);
-
-  // Delivers to an explicit queue (used when RSS is off / single net worker).
+  // "Wire" ingress: delivers a frame to RX queue `queue`. Returns false
+  // (drop) when the queue is full or does not exist.
   bool DeliverToQueue(uint32_t queue, PacketRef packet);
 
   // Polls one frame from an RX queue.

@@ -12,7 +12,6 @@
 
 #include <algorithm>
 #include <cerrno>
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <map>
@@ -180,12 +179,7 @@ CpuSampler::CpuSampler(SamplerOptions options) : options_(options) {
   }
 }
 
-CpuSampler::~CpuSampler() {
-  Stop();
-  if (watcher_.joinable()) {
-    watcher_.join();
-  }
-}
+CpuSampler::~CpuSampler() { Stop(); }
 
 void CpuSampler::RegisterCurrentThread(
     const char* role, const std::atomic<uint32_t>* state_word,
@@ -231,16 +225,13 @@ void CpuSampler::UnregisterCurrentThread() {
   g_tls_slot = nullptr;
 }
 
-bool CpuSampler::Start(int hz, double duration_sec) {
+bool CpuSampler::Start(int hz) {
   if (hz <= 0) {
     hz = 99;
   }
   std::lock_guard<std::mutex> lock(mu_);
   if (running_.load(std::memory_order_acquire)) {
     return false;
-  }
-  if (watcher_.joinable()) {
-    watcher_.join();  // previous capture is stopped, so it exits promptly
   }
   if (!handler_installed_) {
     struct sigaction sa;
@@ -254,7 +245,6 @@ bool CpuSampler::Start(int hz, double duration_sec) {
     handler_installed_ = true;
   }
   hz_ = hz;
-  ++generation_;
   for (auto& slot : slots_) {
     slot->head.store(0, std::memory_order_relaxed);
     slot->dropped.store(0, std::memory_order_relaxed);
@@ -263,44 +253,19 @@ bool CpuSampler::Start(int hz, double duration_sec) {
   for (auto& slot : slots_) {
     ArmSlot(slot.get(), hz);
   }
-  if (duration_sec > 0) {
-    watcher_ = std::thread(&CpuSampler::WatcherMain, this, generation_,
-                           duration_sec);
-  }
   return true;
 }
 
 bool CpuSampler::Stop() {
   std::lock_guard<std::mutex> lock(mu_);
-  return StopLocked();
-}
-
-bool CpuSampler::StopLocked() {
   if (!running_.load(std::memory_order_acquire)) {
     return false;
   }
   for (auto& slot : slots_) {
     DisarmSlot(slot.get());
   }
-  {
-    std::lock_guard<std::mutex> watch_lock(watch_mu_);
-    running_.store(false, std::memory_order_release);
-  }
-  watch_cv_.notify_all();
+  running_.store(false, std::memory_order_release);
   return true;
-}
-
-void CpuSampler::WatcherMain(uint64_t generation, double duration_sec) {
-  {
-    std::unique_lock<std::mutex> lock(watch_mu_);
-    watch_cv_.wait_for(
-        lock, std::chrono::duration<double>(duration_sec),
-        [this] { return !running_.load(std::memory_order_acquire); });
-  }
-  std::lock_guard<std::mutex> lock(mu_);
-  if (generation_ == generation) {
-    StopLocked();  // duration elapsed with this capture still live
-  }
 }
 
 bool CpuSampler::ArmSlot(ThreadSlot* slot, int hz) {

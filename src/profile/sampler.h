@@ -18,13 +18,11 @@
 #define PSP_SRC_PROFILE_SAMPLER_H_
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 namespace psp {
@@ -67,11 +65,10 @@ class CpuSampler {
   void UnregisterCurrentThread();
 
   // Arms every registered thread's timer at `hz` samples per CPU-second and
-  // clears previously collected samples. `duration_sec` > 0 auto-stops the
-  // capture after that much wall time. Returns false — with no side
-  // effects — if a capture is already running (the admin plane maps this to
-  // HTTP 409).
-  bool Start(int hz, double duration_sec = 0.0);
+  // clears previously collected samples; the capture runs until Stop.
+  // Returns false — with no side effects — if a capture is already running
+  // (the admin plane maps this to HTTP 409).
+  bool Start(int hz);
   // Disarms the timers. Collected samples remain readable until the next
   // Start. Returns false if no capture was running.
   bool Stop();
@@ -94,8 +91,6 @@ class CpuSampler {
   // Arms/disarms one slot's timer; callers hold mu_.
   bool ArmSlot(ThreadSlot* slot, int hz);
   void DisarmSlot(ThreadSlot* slot);
-  bool StopLocked();
-  void WatcherMain(uint64_t generation, double duration_sec);
 
   SamplerOptions options_;
   std::atomic<bool> running_{false};
@@ -103,10 +98,6 @@ class CpuSampler {
 
   mutable std::mutex mu_;
   std::vector<std::unique_ptr<ThreadSlot>> slots_;
-  uint64_t generation_ = 0;  // bumped by Start; lets the watcher detect stale
-  std::thread watcher_;
-  std::mutex watch_mu_;
-  std::condition_variable watch_cv_;
 
   // The SIGPROF handler is installed once, on the first Start, and left in
   // place (it is a no-op for unarmed threads); POSIX leaves the fate of

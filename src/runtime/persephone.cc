@@ -6,8 +6,6 @@
 #include <map>
 #include <stdexcept>
 
-#include "src/telemetry/trace_export.h"
-
 #if defined(__linux__)
 #include <pthread.h>
 #include <sched.h>
@@ -145,15 +143,13 @@ Persephone::Persephone(RuntimeConfig config)
   });
 
   // Continuous observability: one time-series per registered type (keyed by
-  // TypeIndex, so slot == TypeIndex), engine gauges stamped at every interval
-  // close, and full runtime snapshots embedded in flight-recorder dumps.
+  // TypeIndex, so slot == TypeIndex) and engine gauges stamped at every
+  // interval close.
   if (telemetry_->timeseries() != nullptr) {
     series_slots_.push_back(
         telemetry_->RegisterSeries(scheduler_->unknown_type(), "UNKNOWN"));
     telemetry_->timeseries()->set_gauge_sampler(
         [this](IntervalRecord* rec) { SampleTimeSeriesGauges(rec); });
-    telemetry_->set_flight_snapshot_provider(
-        [this] { return telemetry_snapshot(); });
   }
   if (config_.outliers.enabled) {
     outliers_ = std::make_unique<OutlierRecorder>(config_.outliers);
@@ -362,59 +358,9 @@ AdminHooks Persephone::MakeAdminHooks() {
       return outliers_->ToJson(names);
     };
   }
-  hooks.trace_start = [this](std::string* error) -> std::string {
-    Nanos expected = -1;
-    const Nanos now = TscClock::Global().Now();
-    if (!trace_capture_start_.compare_exchange_strong(expected, now)) {
-      *error = "trace capture already armed";
-      return "";
-    }
-    telemetry_->RecordEvent(now, "trace capture armed");
-    return "{\"ok\":true,\"started_at\":" + std::to_string(now) + "}\n";
-  };
-  hooks.trace_stop = [this](std::string* error) -> std::string {
-    const Nanos start = trace_capture_start_.exchange(-1);
-    if (start < 0) {
-      *error = "no trace capture armed";
-      return "";
-    }
-    // Bound the capture to [start, now]: the rings only hold the most recent
-    // records anyway, but filtering keeps the export focused on the window
-    // the operator actually asked for.
-    TelemetrySnapshot snap = telemetry_snapshot();
-    std::vector<RequestTrace> kept;
-    kept.reserve(snap.traces.size());
-    for (const RequestTrace& t : snap.traces) {
-      if (t.At(TraceStage::kTx) >= start) {
-        kept.push_back(t);
-      }
-    }
-    snap.traces = std::move(kept);
-    std::vector<TelemetryEvent> events;
-    events.reserve(snap.events.size());
-    for (const TelemetryEvent& e : snap.events) {
-      if (e.at >= start) {
-        events.push_back(e);
-      }
-    }
-    snap.events = std::move(events);
-    return ExportCatapultTrace(snap);
-  };
-  hooks.flight_dump = [this](std::string*) {
-    const TelemetrySnapshot snap = telemetry_snapshot();
-    const TimeSeriesRecorder* const ts = telemetry_->timeseries();
-    return BuildFlightRecord(
-        telemetry_->slo() ? telemetry_->slo()->alerts()
-                          : std::vector<SloAlert>{},
-        ts != nullptr ? ts->Recent(64) : std::vector<IntervalRecord>{}, snap);
-  };
-  hooks.set_config = [this](const std::string& key, const std::string& value) {
-    return ApplyConfigKey(key, value);
-  };
   hooks.profile_start = [this](const std::string& query,
                                std::string* error) -> std::string {
     int hz = 99;
-    double duration_sec = 0.0;
     size_t pos = 0;
     while (pos <= query.size()) {
       size_t end = query.find('&', pos);
@@ -439,27 +385,19 @@ AdminHooks Persephone::MakeAdminHooks() {
         }
         hz = static_cast<int>(parsed);
       } else if (key == "dur") {
-        const double parsed = std::strtod(value.c_str(), &parse_end);
-        if (parse_end == value.c_str() || *parse_end != '\0' || parsed < 0 ||
-            parsed > 3600) {
-          *error = "profiler: dur must be seconds in [0, 3600]";
-          return "";
-        }
-        duration_sec = parsed;
+        // A capture runs until POST /profile/stop; a timed one is the
+        // client's to run (pspctl profile HZ DUR).
+        *error = "profiler: dur is not supported; stop with POST /profile/stop";
+        return "";
       }
     }
-    if (!cpu_sampler_->Start(hz, duration_sec)) {
+    if (!cpu_sampler_->Start(hz)) {
       *error = "profile capture already running";
       return "";
     }
     telemetry_->RecordEvent(TscClock::Global().Now(),
                             "profile capture started");
-    std::string out = "{\"ok\":true,\"hz\":" + std::to_string(hz);
-    if (duration_sec > 0) {
-      out += ",\"duration_sec\":" + std::to_string(duration_sec);
-    }
-    out += "}\n";
-    return out;
+    return "{\"ok\":true,\"hz\":" + std::to_string(hz) + "}\n";
   };
   hooks.profile_stop = [this](std::string* error) -> std::string {
     if (!cpu_sampler_->Stop()) {
@@ -479,38 +417,6 @@ AdminHooks Persephone::MakeAdminHooks() {
     });
   };
   return hooks;
-}
-
-std::string Persephone::ApplyConfigKey(const std::string& key,
-                                       const std::string& value) {
-  if (key == "sampling") {
-    char* end = nullptr;
-    const unsigned long n = std::strtoul(value.c_str(), &end, 10);
-    if (end == value.c_str() || *end != '\0' || n > UINT32_MAX) {
-      return "config: sampling expects an unsigned integer, got \"" + value +
-             "\"";
-    }
-    return telemetry_->SetSampleEvery(static_cast<uint32_t>(n));
-  }
-  // slo.<TYPE>.slowdown=<double>
-  constexpr const char kSloPrefix[] = "slo.";
-  constexpr const char kSloSuffix[] = ".slowdown";
-  if (key.size() > sizeof(kSloPrefix) + sizeof(kSloSuffix) - 2 &&
-      key.compare(0, sizeof(kSloPrefix) - 1, kSloPrefix) == 0 &&
-      key.compare(key.size() - (sizeof(kSloSuffix) - 1),
-                  sizeof(kSloSuffix) - 1, kSloSuffix) == 0) {
-    const std::string type_name =
-        key.substr(sizeof(kSloPrefix) - 1,
-                   key.size() - sizeof(kSloPrefix) - sizeof(kSloSuffix) + 2);
-    char* end = nullptr;
-    const double slowdown = std::strtod(value.c_str(), &end);
-    if (end == value.c_str() || *end != '\0') {
-      return "config: slowdown expects a number, got \"" + value + "\"";
-    }
-    return telemetry_->SetSloTarget(type_name, slowdown);
-  }
-  return "config: unknown key \"" + key +
-         "\" (supported: sampling, slo.<TYPE>.slowdown)";
 }
 
 void Persephone::DispatcherLoop() {
@@ -539,9 +445,6 @@ void Persephone::DispatcherLoop() {
   while (!stop_.load(std::memory_order_acquire)) {
     const Nanos now = clock.Now();
     time_ledger_.AccountSpan(dispatcher_slot, iteration_state, now);
-    // Pick up live sampling changes (POST /config sampling=N): one relaxed
-    // load per loop iteration, a no-op store-free branch when unchanged.
-    sampler.set_every(telemetry_->sample_every());
 
     // 1. Absorb completion signals (frees workers, feeds the profiler).
     bool progressed = DrainCompletions(now, ts);
@@ -660,7 +563,7 @@ void Persephone::SamplerLoop() {
   // Watchdog cadence: a quarter of the interval width (floor 1 ms) keeps
   // closes timely without measurable CPU cost. The dispatcher also closes
   // intervals inline on the hot path, so this thread mostly matters during
-  // idle stretches and for flight-recorder dumps.
+  // idle stretches.
   const Nanos interval = telemetry_->config().timeseries.interval;
   Nanos tick = interval / 4;
   if (tick < kMillisecond) {

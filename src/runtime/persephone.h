@@ -72,7 +72,7 @@ struct RuntimeConfig {
   // src/telemetry/telemetry.h). Counters are always on.
   TelemetryConfig telemetry;
   // Live introspection plane (off by default): loopback HTTP endpoint serving
-  // /metrics, snapshots, on-demand trace capture and runtime config. See
+  // /metrics, snapshots, lifecycle records and the profiler. See
   // src/introspect/admin.h and docs/OBSERVABILITY.md, "Live introspection".
   AdminConfig admin;
   // Tail-outlier capture: K slowest sampled requests per type per window,
@@ -155,8 +155,8 @@ class Persephone {
   void DispatcherLoop();
   void WorkerLoop(uint32_t worker_id);
   // Low-overhead time-series watchdog (only spawned when the recorder is
-  // enabled): closes due intervals during idle stretches and triggers any
-  // pending SLO flight-recorder dump. Sleeps, never busy-polls.
+  // enabled): closes due intervals during idle stretches. Sleeps, never
+  // busy-polls.
   void SamplerLoop();
   // Stamps queue depths, reserved shares and per-worker busy fractions into
   // a closing interval (recorder gauge hook; runs under the roll lock).
@@ -182,8 +182,6 @@ class Persephone {
 
   // Builds the AdminHooks bundle wiring the endpoint to this runtime.
   AdminHooks MakeAdminHooks();
-  // Applies one POST /config key=value pair; "" on success, else the error.
-  std::string ApplyConfigKey(const std::string& key, const std::string& value);
 
   RuntimeConfig config_;
   std::unique_ptr<Telemetry> telemetry_;
@@ -240,9 +238,6 @@ class Persephone {
   // Live introspection plane (null unless enabled in the config).
   std::unique_ptr<OutlierRecorder> outliers_;
   std::unique_ptr<AdminServer> admin_;
-  // On-demand trace capture: start timestamp, or -1 when no capture is
-  // armed. POST /trace/stop exports only records at or after this mark.
-  std::atomic<Nanos> trace_capture_start_{-1};
 };
 
 }  // namespace psp

@@ -55,17 +55,4 @@ std::string DeadlineConfig::Validate() const {
   return "";
 }
 
-DeadlineConfig DeadlineConfigFromSlo(const SloConfig& slo, bool shed) {
-  DeadlineConfig out;
-  out.shed = shed;
-  out.targets.reserve(slo.targets.size());
-  for (const SloTarget& t : slo.targets) {
-    DeadlineTarget target;
-    target.type_name = t.type_name;
-    target.slowdown = t.slowdown;
-    out.targets.push_back(std::move(target));
-  }
-  return out;
-}
-
 }  // namespace psp

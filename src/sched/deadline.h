@@ -1,6 +1,5 @@
-// Deadline tier configuration (ROADMAP item 3): per-type completion budgets
-// that close the loop from *observing* SLOs (the PR 2 monitor) to *enforcing*
-// them. A DeadlineConfig names per-type targets — either an absolute budget
+// Deadline tier configuration: per-type completion budgets the scheduler
+// enforces. A DeadlineConfig names per-type targets — either an absolute budget
 // or a slowdown multiple of the type's expected mean — which the engines
 // resolve to absolute `Request::deadline` stamps at ingress. The stamps feed
 // three consumers: the EDF dispatch order (PolicyMode::kEdf), the slack-aware
@@ -17,12 +16,11 @@
 #include <vector>
 
 #include "src/common/time.h"
-#include "src/telemetry/slo.h"
 
 namespace psp {
 
 // One per-type deadline target, matched to scheduler types by *name* (the
-// human-stable key across both engines, same convention as SloTarget).
+// human-stable key across both engines).
 // Exactly one of {budget, slowdown} should be set: an absolute budget wins;
 // otherwise the budget is slowdown × the type's expected mean service time.
 struct DeadlineTarget {
@@ -55,12 +53,6 @@ struct DeadlineConfig {
   // (duplicate type names, non-positive budgets/slowdowns, bad safety).
   std::string Validate() const;
 };
-
-// Seeds a DeadlineConfig from the SLO monitor's slowdown targets: each
-// SloTarget becomes a DeadlineTarget with the same slowdown multiple, so the
-// deadline the scheduler *enforces* is exactly the objective the monitor
-// *observes*. `shed` carries through to the returned config.
-DeadlineConfig DeadlineConfigFromSlo(const SloConfig& slo, bool shed = false);
 
 }  // namespace psp
 

@@ -52,8 +52,6 @@ ClusterEngine::ClusterEngine(WorkloadSpec workload, ClusterConfig config,
       policy_->SampleTimeSeriesGauges(rec);
       SampleWorkerTimeGauges(rec);
     });
-    telemetry_->set_flight_snapshot_provider(
-        [this] { return telemetry_snapshot(); });
   }
   if (config_.outliers.enabled) {
     assert(config_.outliers.Validate().empty());
@@ -187,9 +185,9 @@ void ClusterEngine::ScheduleTraceArrival(size_t index) {
 }
 
 void ClusterEngine::PrepareExternalRun(Nanos duration) {
-  // Pre-scheduled virtual-time rollovers: close every due interval (and run
-  // any pending flight-recorder dump) at exact grid points, so idle stretches
-  // still produce empty intervals and the series is deterministic.
+  // Pre-scheduled virtual-time rollovers: close every due interval at exact
+  // grid points, so idle stretches still produce empty intervals and the
+  // series is deterministic.
   if (TimeSeriesRecorder* const ts = telemetry_->timeseries()) {
     const Nanos interval = ts->config().interval;
     for (Nanos t = interval; t <= duration; t += interval) {

@@ -105,16 +105,6 @@ class TraceSampler {
 
   uint32_t every() const { return every_; }
 
-  // Live re-arm (the admin plane's sampling=N knob). Owning-thread only,
-  // like Tick(); the counter resets so the new period starts immediately.
-  void set_every(uint32_t every) {
-    if (every == every_) {
-      return;
-    }
-    every_ = every;
-    count_ = 0;
-  }
-
  private:
   uint32_t every_;
   uint32_t count_ = 0;

@@ -49,9 +49,6 @@ constexpr TypeIntervalField kTypeIntervalFields[] = {
     {"drops", "psp_type_interval_drops",
      "flow-control drops in the latest interval",
      &FieldOf<&TypeIntervalStats::drops>},
-    {"slo_violations", "psp_type_interval_slo_violations",
-     "SLO violations in the latest interval",
-     &FieldOf<&TypeIntervalStats::slo_violations>},
     {"deadline_misses", "psp_deadline_type_interval_misses",
      "deadline misses in the latest interval",
      &FieldOf<&TypeIntervalStats::deadline_misses>,
@@ -98,12 +95,6 @@ uint64_t TelemetrySnapshot::counter(const std::string& name,
                                     uint64_t fallback) const {
   const auto it = counters.find(name);
   return it != counters.end() ? it->second : fallback;
-}
-
-int64_t TelemetrySnapshot::gauge(const std::string& name,
-                                 int64_t fallback) const {
-  const auto it = gauges.find(name);
-  return it != gauges.end() ? it->second : fallback;
 }
 
 void TelemetrySnapshot::Merge(const TelemetrySnapshot& other) {

@@ -58,7 +58,6 @@ struct TypeIntervalStats {
   uint64_t arrivals = 0;
   uint64_t completions = 0;
   uint64_t drops = 0;
-  uint64_t slo_violations = 0;
   uint64_t deadline_misses = 0;  // completions past their deadline
   uint64_t deadline_sheds = 0;   // admission-control drops
   int64_t queue_depth = -1;
@@ -70,7 +69,7 @@ struct TypeIntervalStats {
 };
 
 // One TypeIntervalStats field, declared once for every exporter: `key` is
-// its snapshot-JSON key and CSV column, `metric` its /metrics gauge family.
+// its snapshot-JSON key, `metric` its /metrics gauge family.
 // /metrics omits a type's -1 sentinel when `skip_negative` (the engine gave
 // no sampler) and the whole family when `skip_if_all_zero` and every type
 // reads 0 (deadline-free engines keep their scrape).
@@ -83,7 +82,7 @@ struct TypeIntervalField {
   bool skip_if_all_zero = false;
 };
 
-// Every TypeIntervalStats field but `type`, in JSON and CSV column order.
+// Every TypeIntervalStats field but `type`, in JSON order.
 std::span<const TypeIntervalField> TypeIntervalFields();
 
 // One closed interval of the time-series recorder.
@@ -174,7 +173,6 @@ struct TelemetrySnapshot {
   std::vector<WorkerTimeRecord> worker_time;
 
   uint64_t counter(const std::string& name, uint64_t fallback = 0) const;
-  int64_t gauge(const std::string& name, int64_t fallback = 0) const;
 
   // Folds `other` into this snapshot: counters add, gauges take the other's
   // value, histograms merge, traces/events/timeseries/reservation_updates/

@@ -11,34 +11,10 @@ Counter& MetricsRegistry::GetCounter(const std::string& name) {
   return *slot;
 }
 
-Gauge& MetricsRegistry::GetGauge(const std::string& name) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  auto& slot = gauges_[name];
-  if (!slot) {
-    slot = std::make_unique<Gauge>();
-  }
-  return *slot;
-}
-
-TimingHistogram& MetricsRegistry::GetHistogram(const std::string& name) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  auto& slot = histograms_[name];
-  if (!slot) {
-    slot = std::make_unique<TimingHistogram>();
-  }
-  return *slot;
-}
-
 void MetricsRegistry::Export(TelemetrySnapshot* out) const {
   std::lock_guard<std::mutex> lock(mutex_);
   for (const auto& [name, counter] : counters_) {
     out->counters[name] += counter->Value();
-  }
-  for (const auto& [name, gauge] : gauges_) {
-    out->gauges[name] = gauge->Value();
-  }
-  for (const auto& [name, hist] : histograms_) {
-    out->histograms[name].Merge(hist->SnapshotHistogram());
   }
 }
 
@@ -49,19 +25,11 @@ std::string TelemetryConfig::Validate() const {
   if (const std::string error = timeseries.Validate(); !error.empty()) {
     return error;
   }
-  if (const std::string error = slo.Validate(); !error.empty()) {
-    return error;
-  }
-  if (!slo.targets.empty() && !timeseries.enabled) {
-    return "telemetry: SLO targets require timeseries.enabled (violation "
-           "counts live in the time-series recorder)";
-  }
   return "";
 }
 
 Telemetry::Telemetry(TelemetryConfig config, size_t num_rings)
     : config_(config) {
-  live_sample_every_.store(config_.sample_every, std::memory_order_relaxed);
   // Untraced engines never commit a record, so they get no rings at all
   // (a ring's slots are allocated and zero-filled up front).
   if (config_.enable_tracing) {
@@ -77,44 +45,7 @@ Telemetry::Telemetry(TelemetryConfig config, size_t num_rings)
   }
   if (config_.timeseries.enabled) {
     timeseries_ = std::make_unique<TimeSeriesRecorder>(config_.timeseries);
-    if (!config_.slo.targets.empty()) {
-      slo_ = std::make_unique<SloMonitor>(config_.slo);
-      timeseries_->set_on_interval([this](const IntervalRecord& rec) {
-        slo_->OnInterval(rec, series_names_);
-      });
-    }
   }
-}
-
-std::string Telemetry::SetSampleEvery(uint32_t every) {
-  if (!config_.enable_tracing) {
-    return "telemetry: tracing is disabled; sampling cannot be changed";
-  }
-  live_sample_every_.store(every, std::memory_order_relaxed);
-  return "";
-}
-
-std::string Telemetry::SetSloTarget(const std::string& type_name,
-                                    double slowdown) {
-  if (slowdown <= 1.0) {
-    return "telemetry: slowdown target must be > 1.0";
-  }
-  if (!slo_) {
-    return "telemetry: no SLO monitor configured";
-  }
-  if (const std::string error = slo_->SetSlowdown(type_name, slowdown);
-      !error.empty()) {
-    return error;
-  }
-  // Re-arm the recorder's violation counting for the matching series.
-  if (timeseries_) {
-    for (size_t slot = 0; slot < timeseries_->num_series(); ++slot) {
-      if (timeseries_->name_of(slot) == type_name) {
-        timeseries_->SetSlowdownTarget(slot, slowdown);
-      }
-    }
-  }
-  return "";
 }
 
 void Telemetry::RecordEvent(Nanos at, std::string what) {
@@ -131,12 +62,6 @@ size_t Telemetry::RegisterSeries(uint32_t type_key, const std::string& name) {
   }
   const size_t slot = timeseries_->RegisterSeries(type_key, name);
   series_names_.emplace(type_key, name);
-  if (slo_) {
-    const double target = slo_->TargetSlowdownFor(name);
-    if (target > 0) {
-      timeseries_->SetSlowdownTarget(slot, target);
-    }
-  }
   return slot;
 }
 
@@ -162,28 +87,6 @@ void Telemetry::AdvanceTimeSeries(Nanos now, bool flush) {
     return;
   }
   timeseries_->Roll(now, flush);
-  MaybeDumpFlight();
-}
-
-void Telemetry::MaybeDumpFlight() {
-  if (!slo_ || config_.slo.flight_path.empty()) {
-    return;
-  }
-  const std::vector<SloAlert> pending = slo_->TakeUndumped();
-  if (pending.empty()) {
-    return;
-  }
-  // Build the dump outside any recorder/monitor lock: the snapshot provider
-  // reads the recorder's history itself.
-  const TelemetrySnapshot snap =
-      flight_provider_ ? flight_provider_() : Snapshot();
-  const std::string body = BuildFlightRecord(
-      pending, timeseries_->Recent(config_.slo.flight_intervals), snap);
-  if (WriteTextFile(config_.slo.flight_path, body)) {
-    registry_.GetCounter("slo.flight_dumps").Add();
-  } else {
-    registry_.GetCounter("slo.flight_dump_failures").Add();
-  }
 }
 
 TelemetrySnapshot Telemetry::Snapshot() const {
@@ -207,9 +110,6 @@ TelemetrySnapshot Telemetry::Snapshot() const {
     for (const auto& [key, name] : series_names_) {
       snap.type_names.emplace(key, name);
     }
-  }
-  if (slo_) {
-    snap.counters["slo.alerts_total"] += slo_->alerts_total();
   }
   return snap;
 }

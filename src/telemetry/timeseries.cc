@@ -1,7 +1,6 @@
 #include "src/telemetry/timeseries.h"
 
 #include <cmath>
-#include <cstdio>
 
 namespace psp {
 
@@ -96,12 +95,6 @@ size_t TimeSeriesRecorder::RegisterSeries(uint32_t type_key,
   return series_.size() - 1;
 }
 
-void TimeSeriesRecorder::SetSlowdownTarget(size_t slot, double slowdown) {
-  series_[slot]->target_milli.store(
-      slowdown > 0 ? static_cast<int64_t>(slowdown * 1000.0) : 0,
-      std::memory_order_relaxed);
-}
-
 void TimeSeriesRecorder::set_gauge_sampler(
     std::function<void(IntervalRecord*)> sampler) {
   std::lock_guard<std::mutex> lock(mutex_);
@@ -188,9 +181,6 @@ void TimeSeriesRecorder::CloseIntervalLocked(Nanos end) {
     cur = s.drops.load(std::memory_order_relaxed);
     t.drops = cur - s.prev_drops;
     s.prev_drops = cur;
-    cur = s.violations.load(std::memory_order_relaxed);
-    t.slo_violations = cur - s.prev_violations;
-    s.prev_violations = cur;
     cur = s.slowdown_samples.load(std::memory_order_relaxed);
     t.slowdown_samples = cur - s.prev_samples;
     s.prev_samples = cur;
@@ -244,68 +234,11 @@ void TimeSeriesRecorder::CloseIntervalLocked(Nanos end) {
   intervals_closed_.store(
       intervals_closed_.load(std::memory_order_relaxed) + 1,
       std::memory_order_relaxed);
-  if (on_interval_) {
-    on_interval_(history_.back());
-  }
 }
 
 std::vector<IntervalRecord> TimeSeriesRecorder::History() const {
   std::lock_guard<std::mutex> lock(mutex_);
   return std::vector<IntervalRecord>(history_.begin(), history_.end());
-}
-
-std::vector<IntervalRecord> TimeSeriesRecorder::Recent(size_t n) const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  const size_t count = n < history_.size() ? n : history_.size();
-  return std::vector<IntervalRecord>(history_.end() - count, history_.end());
-}
-
-std::string TimeSeriesRecorder::ToCsv() const {
-  std::map<uint32_t, std::string> names;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    for (const auto& s : series_) {
-      names.emplace(s->type_key, s->name);
-    }
-  }
-  return IntervalsToCsv(History(), names);
-}
-
-std::string IntervalsToCsv(const std::vector<IntervalRecord>& intervals,
-                           const std::map<uint32_t, std::string>& type_names) {
-  std::string out = "seq,start_ns,end_ns,type,name";
-  for (const TypeIntervalField& field : TypeIntervalFields()) {
-    out += ',';
-    out += field.key;
-  }
-  out +=
-      ",interval_reservation_updates,arrival_rps,completion_rps,"
-      "worker_busy_permille\n";
-  for (const IntervalRecord& rec : intervals) {
-    const std::string head = std::to_string(rec.seq) + ',' +
-                             std::to_string(rec.start) + ',' +
-                             std::to_string(rec.end) + ',';
-    char tail[128];
-    std::snprintf(tail, sizeof(tail), ",%llu,%.1f,%.1f,",
-                  static_cast<unsigned long long>(rec.reservation_updates),
-                  rec.arrival_rate_rps, rec.completion_rate_rps);
-    std::string busy;
-    for (size_t w = 0; w < rec.worker_busy_permille.size(); ++w) {
-      if (w > 0) {
-        busy += '|';
-      }
-      busy += std::to_string(rec.worker_busy_permille[w]);
-    }
-    for (const TypeIntervalStats& t : rec.types) {
-      out += head + std::to_string(t.type) + ',' +
-             TypeNameOf(type_names, t.type);
-      for (const TypeIntervalField& field : TypeIntervalFields()) {
-        out += ',' + std::to_string(field.value(t));
-      }
-      out += tail + busy + '\n';
-    }
-  }
-  return out;
 }
 
 }  // namespace psp

@@ -11,7 +11,6 @@
 //     RecordArrival/RecordCompletion pair costs a few nanoseconds.
 //   * The windowed slowdown histogram is fed 1-in-K completions
 //     (TimeSeriesConfig::slowdown_sample_every; sims use 1 for exactness).
-//   * The SLO violation check is one multiply + compare (no division).
 //   * Interval close is amortised: the writer performs one predictable
 //     `now >= interval_end` branch per record and only pays the close path
 //     (delta extraction + percentile walk, microseconds) at a rollover.
@@ -30,7 +29,6 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -112,16 +110,11 @@ class TimeSeriesRecorder {
   // engine's trace type key (TypeIndex / wire id) echoed back in
   // TypeIntervalStats::type.
   size_t RegisterSeries(uint32_t type_key, std::string name);
-  // Completions slower than `slowdown` (a multiple of service time) count as
-  // SLO violations for this series. 0 disables violation counting.
-  void SetSlowdownTarget(size_t slot, double slowdown);
   // Called at every interval close (under the roll lock) so the engine can
   // stamp gauges: queue depths, reserved shares, worker busy fractions. Must
   // not call back into the recorder.
   void set_gauge_sampler(std::function<void(IntervalRecord*)> sampler);
 
-  size_t num_series() const { return series_.size(); }
-  const std::string& name_of(size_t slot) const { return series_[slot]->name; }
   const TimeSeriesConfig& config() const { return config_; }
 
   // --- Hot path (single writer: the dispatching thread) --------------------
@@ -138,19 +131,15 @@ class TimeSeriesRecorder {
 
   // `latency` is the end-to-end sojourn, `service` the request's service
   // time; slowdown = latency / service feeds the windowed histogram (in
-  // milli units) and the violation check. Inline: this sits on the
-  // dispatcher's completion-absorb path (bench/micro_timeseries gates the
-  // full recorder delta at < 5% of the dispatch loop).
+  // milli units). Inline: this sits on the dispatcher's completion-absorb
+  // path (bench/micro_timeseries gates the full recorder delta at < 5% of
+  // the dispatch loop).
   void RecordCompletion(size_t slot, Nanos latency, Nanos service, Nanos now) {
     MaybeRoll(now);
     Series& s = *series_[slot];
     Bump(&s.completions);
     if (latency < 0) {
       latency = 0;
-    }
-    const int64_t target = s.target_milli.load(std::memory_order_relaxed);
-    if (target > 0 && service > 0 && latency * 1000 > target * service) {
-      Bump(&s.violations);
     }
     if (config_.slowdown_sample_every != 0 && --s.sample_countdown == 0) {
       s.sample_countdown = config_.slowdown_sample_every;
@@ -187,40 +176,29 @@ class TimeSeriesRecorder {
 
   // Closed intervals, oldest first (up to config().capacity).
   std::vector<IntervalRecord> History() const;
-  // The most recent `n` closed intervals, oldest first.
-  std::vector<IntervalRecord> Recent(size_t n) const;
   uint64_t intervals_closed() const {
     return intervals_closed_.load(std::memory_order_relaxed);
   }
-
-  // CSV export of History(): one row per (interval, type), a stable schema
-  // for determinism tests and offline plotting (docs/OBSERVABILITY.md).
-  std::string ToCsv() const;
 
  private:
   struct Series {
     uint32_t type_key = 0;
     uint32_t sample_countdown = 1;  // writer-private 1-in-K cadence
-    // Cumulative, single-writer (see file header). Kept together with the
-    // violation threshold ahead of the multi-KB histogram so the whole
-    // per-completion working set is a cache line or two.
+    // Cumulative, single-writer (see file header). Kept ahead of the
+    // multi-KB histogram so the whole per-completion working set is a cache
+    // line or two.
     std::atomic<uint64_t> arrivals{0};
     std::atomic<uint64_t> completions{0};
     std::atomic<uint64_t> drops{0};
-    std::atomic<uint64_t> violations{0};
     std::atomic<uint64_t> slowdown_samples{0};
     std::atomic<uint64_t> deadline_misses{0};
     std::atomic<uint64_t> deadline_sheds{0};
-    // Violation threshold in milli units; 0 = disabled. Checked as
-    // latency * 1000 > target_milli * service (one multiply, no division).
-    std::atomic<int64_t> target_milli{0};
     std::string name;
     SlotHistogram slowdown;  // milli units (1000 = 1.0x)
     // Close-side state (guarded by mutex_): values at the previous close.
     uint64_t prev_arrivals = 0;
     uint64_t prev_completions = 0;
     uint64_t prev_drops = 0;
-    uint64_t prev_violations = 0;
     uint64_t prev_samples = 0;
     uint64_t prev_deadline_misses = 0;
     uint64_t prev_deadline_sheds = 0;
@@ -263,20 +241,7 @@ class TimeSeriesRecorder {
   std::deque<IntervalRecord> history_;
   std::atomic<uint64_t> intervals_closed_{0};
   std::function<void(IntervalRecord*)> gauge_sampler_;
-  std::function<void(const IntervalRecord&)> on_interval_;
-
- public:
-  // Invoked (under the roll lock) for every closed interval, after gauges are
-  // stamped — the SLO monitor's feed. Must not call back into the recorder.
-  void set_on_interval(std::function<void(const IntervalRecord&)> fn) {
-    on_interval_ = std::move(fn);
-  }
 };
-
-// Serialises a span of interval records to the same CSV schema as
-// TimeSeriesRecorder::ToCsv (used by flight-recorder dumps).
-std::string IntervalsToCsv(const std::vector<IntervalRecord>& intervals,
-                           const std::map<uint32_t, std::string>& type_names);
 
 }  // namespace psp
 

@@ -152,14 +152,6 @@ TEST(Histogram, MergeMismatchedPopulations) {
   EXPECT_EQ(other.Percentile(50), 1000);
 }
 
-TEST(Histogram, ResetClears) {
-  Histogram h;
-  h.Add(123);
-  h.Reset();
-  EXPECT_EQ(h.Count(), 0u);
-  EXPECT_EQ(h.Percentile(99), 0);
-}
-
 class HistogramAccuracyTest : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(HistogramAccuracyTest, MatchesExactPercentilesWithinError) {

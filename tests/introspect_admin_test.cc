@@ -1,7 +1,7 @@
 // End-to-end admin plane tests: a real AdminServer on an ephemeral loopback
 // port (and UDS), scraped over actual sockets; then the full runtime with
-// the endpoint enabled — counters move between scrapes, POST /config
-// adjusts sampling live, and the outlier ring serves its JSON.
+// the endpoint enabled — counters move between scrapes, the outlier ring
+// serves its JSON and the profiler routes arm and disarm a capture.
 #include "src/introspect/admin.h"
 
 #include <arpa/inet.h>
@@ -108,7 +108,8 @@ TEST(AdminServer, ServesMetricsSnapshotAndHealth) {
   // Unknown path and unhooked endpoints.
   EXPECT_EQ(Status(HttpRequest(server.port(), "GET", "/nope")), 404);
   EXPECT_EQ(Status(HttpRequest(server.port(), "GET", "/outliers.json")), 404);
-  EXPECT_EQ(Status(HttpRequest(server.port(), "POST", "/trace/start")), 501);
+  EXPECT_EQ(Status(HttpRequest(server.port(), "POST", "/profile/start")),
+            501);
   EXPECT_EQ(Status(HttpRequest(server.port(), "PUT", "/metrics")), 405);
   EXPECT_GE(server.requests_served(), 8u);
   server.Stop();
@@ -165,33 +166,9 @@ TEST(AdminServer, UnixDomainSocketListener) {
   EXPECT_NE(::access(config.uds_path.c_str(), F_OK), 0);
 }
 
-TEST(AdminServer, ConfigPostValidation) {
-  AdminConfig config;
-  config.enabled = true;
-  AdminHooks hooks;
-  hooks.snapshot = [] { return TelemetrySnapshot{}; };
-  hooks.set_config = [](const std::string& key, const std::string& value) {
-    if (key == "good") {
-      return std::string();
-    }
-    return "unknown key " + key + "=" + value;
-  };
-  AdminServer server(config, hooks);
-  ASSERT_EQ(server.Start(), "");
-
-  EXPECT_EQ(Status(HttpRequest(server.port(), "POST", "/config", "good=1")),
-            200);
-  EXPECT_EQ(
-      Status(HttpRequest(server.port(), "POST", "/config", "good=1\nbad=2")),
-      400);
-  EXPECT_EQ(Status(HttpRequest(server.port(), "POST", "/config", "")), 400);
-  EXPECT_EQ(Status(HttpRequest(server.port(), "POST", "/config", "noequals")),
-            400);
-  server.Stop();
-}
-
 // The full loop: runtime with the admin plane on, real load, two scrapes
-// observing progress, live sampling adjustment, outliers and trace capture.
+// observing progress, outliers and a profile capture; the removed write
+// routes answer 404.
 TEST(AdminServer, RuntimeEndToEnd) {
   RuntimeConfig config;
   config.num_workers = 2;
@@ -211,10 +188,10 @@ TEST(AdminServer, RuntimeEndToEnd) {
   const std::string before = Body(HttpRequest(port, "GET", "/metrics"));
   EXPECT_NE(before.find("psp_up 1"), std::string::npos);
 
-  // Arm a trace capture, then drive load.
-  EXPECT_EQ(Status(HttpRequest(port, "POST", "/trace/start")), 200);
+  // Arm a profile capture, then drive load.
+  EXPECT_EQ(Status(HttpRequest(port, "POST", "/profile/start?hz=499")), 200);
   // Double-arm is a 409.
-  EXPECT_EQ(Status(HttpRequest(port, "POST", "/trace/start")), 409);
+  EXPECT_EQ(Status(HttpRequest(port, "POST", "/profile/start")), 409);
 
   LoadGenConfig lg;
   lg.rate_rps = 4000;
@@ -229,11 +206,6 @@ TEST(AdminServer, RuntimeEndToEnd) {
             std::string::npos)
       << after.substr(0, 2000);
 
-  // Live sampling change through POST /config.
-  EXPECT_EQ(Status(HttpRequest(port, "POST", "/config", "sampling=8")), 200);
-  EXPECT_EQ(server.telemetry().sample_every(), 8u);
-  EXPECT_EQ(Status(HttpRequest(port, "POST", "/config", "sampling=x")), 400);
-
   // Outliers captured with full stage breakdowns.
   const std::string outliers = Body(HttpRequest(port, "GET",
                                                 "/outliers.json"));
@@ -241,18 +213,28 @@ TEST(AdminServer, RuntimeEndToEnd) {
   EXPECT_NE(outliers.find("\"stages\""), std::string::npos);
   EXPECT_GT(server.outliers()->offered(), 0u);
 
-  // Stop the capture: a catapult trace with events comes back.
-  const std::string trace = HttpRequest(port, "POST", "/trace/stop");
-  EXPECT_EQ(Status(trace), 200);
-  EXPECT_NE(Body(trace).find("\"traceEvents\""), std::string::npos);
-  // Stopping again without re-arming is a 409.
-  EXPECT_EQ(Status(HttpRequest(port, "POST", "/trace/stop")), 409);
+  // Stop the capture: the sample counts come back and the folded stacks
+  // stay readable. Stopping again without re-arming is a 409.
+  const std::string stop = HttpRequest(port, "POST", "/profile/stop");
+  EXPECT_EQ(Status(stop), 200);
+  EXPECT_NE(Body(stop).find("\"samples\""), std::string::npos);
+  EXPECT_EQ(Status(HttpRequest(port, "POST", "/profile/stop")), 409);
+  EXPECT_EQ(Status(HttpRequest(port, "GET", "/profile.folded")), 200);
 
-  // Flight record on demand.
-  const std::string flight =
-      HttpRequest(port, "POST", "/flightrecorder/dump");
-  EXPECT_EQ(Status(flight), 200);
-  EXPECT_FALSE(Body(flight).empty());
+  // A capture runs until /profile/stop: a duration is refused by name, and
+  // nothing is left running.
+  const std::string timed = HttpRequest(port, "POST", "/profile/start?dur=1");
+  EXPECT_EQ(Status(timed), 409);
+  EXPECT_NE(Body(timed).find("dur"), std::string::npos);
+  EXPECT_FALSE(server.cpu_sampler().running());
+
+  // The snapshot Perfetto capture, the flight recorder and runtime config
+  // are gone.
+  EXPECT_EQ(Status(HttpRequest(port, "POST", "/trace/start")), 404);
+  EXPECT_EQ(Status(HttpRequest(port, "POST", "/trace/stop")), 404);
+  EXPECT_EQ(Status(HttpRequest(port, "POST", "/flightrecorder/dump")), 404);
+  EXPECT_EQ(Status(HttpRequest(port, "POST", "/config", "sampling=8")), 404);
+  EXPECT_EQ(server.telemetry().sample_every(), 2u);
 
   server.Stop();
   // The endpoint is down after Stop().

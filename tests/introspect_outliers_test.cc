@@ -1,12 +1,13 @@
 // Contracts for the tail-outlier capture ring (src/introspect/outliers.h):
 // the K-slowest invariant, per-window reset with previous-window retention,
 // deterministic JSON, and bit-identical offline artifacts across two
-// same-seed simulator runs.
+// same-seed simulator runs (written through WriteTextFile).
 #include "src/introspect/outliers.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
 #include <fstream>
 #include <memory>
 #include <sstream>
@@ -212,6 +213,17 @@ TEST(Outliers, SimOfflineArtifactsDeterministicAcrossRuns) {
     EXPECT_FALSE(sa.str().empty()) << file;
     EXPECT_EQ(sa.str(), sb.str()) << file;
   }
+}
+
+TEST(Offline, WriteTextFileRoundTrip) {
+  const std::string path = ::testing::TempDir() + "/psp_write_test.txt";
+  ASSERT_TRUE(WriteTextFile(path, "hello\nworld\n"));
+  std::ifstream in(path);
+  std::stringstream contents;
+  contents << in.rdbuf();
+  EXPECT_EQ(contents.str(), "hello\nworld\n");
+  std::remove(path.c_str());
+  EXPECT_FALSE(WriteTextFile("/nonexistent-dir/x/y", "nope"));
 }
 
 }  // namespace

@@ -1,5 +1,5 @@
 // Wire-format tests: build/parse round trips, malformed-frame rejection,
-// in-place response formatting (the zero-copy TX path), RSS hashing.
+// in-place response formatting (the zero-copy TX path).
 #include "src/net/packet.h"
 
 #include <gtest/gtest.h>
@@ -8,8 +8,6 @@
 #include <vector>
 
 #include "src/common/rng.h"
-
-#include "src/net/rss.h"
 
 namespace psp {
 namespace {
@@ -190,40 +188,6 @@ TEST(Packet, FormatResponsePreservesTraceContext) {
   EXPECT_EQ(parsed->psp.server_tx_timestamp, 2000);
   EXPECT_EQ(parsed->psp.client_timestamp, 123456789);
 }
-
-// --- RSS ---------------------------------------------------------------------
-
-TEST(Rss, DeterministicPerFlow) {
-  const FlowTuple flow{0xC0A80001, 0xC0A80002, 1234, 80};
-  EXPECT_EQ(ToeplitzHash(flow), ToeplitzHash(flow));
-}
-
-TEST(Rss, KnownVectorFromMicrosoftSpec) {
-  // Canonical verification suite vector: 66.9.149.187:2794 -> 161.142.100.80:1766
-  // hashes to 0x51ccc178 with the default key (IPv4 with ports).
-  const FlowTuple flow{(66u << 24) | (9u << 16) | (149u << 8) | 187u,
-                       (161u << 24) | (142u << 16) | (100u << 8) | 80u, 2794,
-                       1766};
-  EXPECT_EQ(ToeplitzHash(flow), 0x51ccc178u);
-}
-
-TEST(Rss, SpreadsFlowsAcrossQueues) {
-  std::vector<int> counts(14, 0);
-  for (uint32_t i = 0; i < 10000; ++i) {
-    FlowTuple flow{0x0A000000 + i, 0x0A000001, static_cast<uint16_t>(i),
-                   6789};
-    ++counts[RssQueueForFlow(flow, 14)];
-  }
-  for (int c : counts) {
-    EXPECT_GT(c, 10000 / 14 / 2) << "queue starved";
-    EXPECT_LT(c, 10000 / 14 * 2) << "queue overloaded";
-  }
-}
-
-TEST(Rss, ZeroQueuesHandled) {
-  EXPECT_EQ(RssQueueForFlow(FlowTuple{}, 0), 0u);
-}
-
 
 // --- Parser robustness (fuzz-ish) ----------------------------------------------
 

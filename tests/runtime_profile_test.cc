@@ -82,20 +82,6 @@ TEST(Profile, StartStopLifecycleAndDoubleStartRejected) {
   EXPECT_FALSE(sampler.Stop());
 }
 
-TEST(Profile, DurationAutoStops) {
-  CpuSampler sampler;
-  ASSERT_TRUE(sampler.Start(99, /*duration_sec=*/0.2));
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds(5);
-  while (sampler.running() && std::chrono::steady_clock::now() < deadline) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  }
-  EXPECT_FALSE(sampler.running());
-  // A fresh capture can start after the auto-stop.
-  ASSERT_TRUE(sampler.Start(99));
-  EXPECT_TRUE(sampler.Stop());
-}
-
 TEST(Profile, SamplesBusyThreadWithStateTags) {
   CpuSampler sampler;
   std::atomic<uint32_t> state{WorkerTimeLedger::Pack(WorkerTimeState::kBusy,

@@ -58,23 +58,6 @@ TEST(DeadlineConfig, EnabledAndValidation) {
   EXPECT_FALSE(bad_safety.Validate().empty());
 }
 
-TEST(DeadlineConfig, SeedsFromSloTargets) {
-  SloConfig slo;
-  slo.targets.push_back({"SHORT", 10.0, 0.01});
-  slo.targets.push_back({"LONG", 3.0, 0.01});
-  const DeadlineConfig config = DeadlineConfigFromSlo(slo, /*shed=*/true);
-  ASSERT_EQ(config.targets.size(), 2u);
-  EXPECT_EQ(config.targets[0].type_name, "SHORT");
-  EXPECT_EQ(config.targets[0].slowdown, 10.0);
-  EXPECT_EQ(config.targets[1].slowdown, 3.0);
-  EXPECT_TRUE(config.shed);
-  // The enforced budget equals the observed objective: slowdown × mean.
-  EXPECT_EQ(config.BudgetFor("LONG", 100 * kMicrosecond),
-            300 * kMicrosecond);
-}
-
-// --- Slack-aware reservation math --------------------------------------------
-
 TEST(SlackReservation, RiskWeightShape) {
   const double mean = 10'000;  // 10 µs
   // No budget: neutral weight.

@@ -1,18 +1,21 @@
-// Unit tests for the windowed time-series recorder, the SLO monitor, and the
-// flight recorder (src/telemetry/{timeseries,slo}.h).
+// Unit tests for the windowed time-series recorder (src/telemetry/
+// timeseries.h), plus its determinism on a seeded simulator run:
+//   * two runs with the same seed produce byte-identical snapshot JSON (the
+//     recorder is driven purely by virtual time), and another seed diverges;
+//   * the seeded adaptation run's series shows DARC's reservation shares
+//     moving at profiler window boundaries (the Fig. 7 dynamic).
 #include "src/telemetry/timeseries.h"
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
-#include <fstream>
 #include <map>
-#include <sstream>
+#include <memory>
+#include <set>
 #include <string>
 #include <vector>
 
-#include "src/telemetry/slo.h"
-#include "src/telemetry/telemetry.h"
+#include "src/sim/cluster.h"
+#include "src/sim/policies/persephone.h"
 
 namespace psp {
 namespace {
@@ -159,20 +162,6 @@ TEST(TimeSeriesRecorder, LongIdleGapRealignsInsteadOfGrinding) {
   EXPECT_EQ(history[1].types[a].arrivals, 1u);
 }
 
-TEST(TimeSeriesRecorder, ViolationCountingUsesTarget) {
-  TimeSeriesRecorder rec(SmallConfig());
-  const size_t a = rec.RegisterSeries(1, "A");
-  rec.SetSlowdownTarget(a, 10.0);
-  rec.RecordCompletion(a, /*latency=*/500, /*service=*/100, 100);   // 5x: ok
-  rec.RecordCompletion(a, /*latency=*/2000, /*service=*/100, 200);  // 20x!
-  rec.RecordCompletion(a, /*latency=*/1000, /*service=*/100, 300);  // 10x: ok
-  rec.Roll(1000);
-  const auto history = rec.History();
-  ASSERT_EQ(history.size(), 1u);
-  EXPECT_EQ(history[0].types[a].completions, 3u);
-  EXPECT_EQ(history[0].types[a].slo_violations, 1u);
-}
-
 TEST(TimeSeriesRecorder, GaugeSamplerStampsIntervals) {
   TimeSeriesRecorder rec(SmallConfig());
   const size_t a = rec.RegisterSeries(1, "A");
@@ -199,27 +188,6 @@ TEST(TimeSeriesRecorder, GaugeSamplerStampsIntervals) {
   EXPECT_EQ(bare.History()[0].types[slot].queue_depth, -1);
 }
 
-TEST(TimeSeriesRecorder, CsvSchemaIsStable) {
-  TimeSeriesRecorder rec(SmallConfig());
-  const size_t a = rec.RegisterSeries(1, "A");
-  rec.RecordArrival(a, 100);
-  rec.Roll(1000);
-  const std::string csv = rec.ToCsv();
-  std::istringstream lines(csv);
-  std::string header;
-  ASSERT_TRUE(std::getline(lines, header));
-  EXPECT_EQ(header,
-            "seq,start_ns,end_ns,type,name,arrivals,completions,drops,"
-            "slo_violations,deadline_misses,deadline_sheds,queue_depth,"
-            "reserved_workers,slowdown_samples,"
-            "slowdown_p50_milli,slowdown_p99_milli,slowdown_p999_milli,"
-            "interval_reservation_updates,arrival_rps,completion_rps,"
-            "worker_busy_permille");
-  std::string row;
-  ASSERT_TRUE(std::getline(lines, row));
-  EXPECT_NE(row.find(",A,"), std::string::npos);
-}
-
 TEST(TimeSeriesRecorder, SamplingCadenceIsRespected) {
   TimeSeriesConfig config = SmallConfig();
   config.slowdown_sample_every = 4;
@@ -234,173 +202,140 @@ TEST(TimeSeriesRecorder, SamplingCadenceIsRespected) {
   EXPECT_EQ(history[0].types[a].slowdown_samples, 4u);
 }
 
-// --- SloMonitor -------------------------------------------------------------
+// --- Seeded adaptation run --------------------------------------------------
+// A compact version of the Fig. 7 experiment: two types whose roles flip
+// mid-run, DARC profiling live (no seeds), recorder sampling every
+// completion so the series is bit-deterministic for the seed.
 
-SloConfig MonitorConfig() {
-  SloConfig config;
-  config.targets.push_back(SloTarget{"A", 10.0, 0.01});
-  config.window_intervals = 2;
-  config.burn_rate_alert = 1.0;
-  config.min_window_completions = 10;
-  config.cooldown_intervals = 4;
-  return config;
+struct RunArtifacts {
+  std::string snapshot_json;
+  std::vector<IntervalRecord> intervals;
+  std::vector<ReservationUpdate> updates;
+  uint64_t completed = 0;
+};
+
+RunArtifacts RunSeededAdaptation(uint64_t seed) {
+  WorkloadSpec workload;
+  workload.name = "flip";
+  workload.phases.push_back(WorkloadPhase{
+      400 * kMillisecond,
+      {WorkloadType{1, "A", 100.0, 0.5}, WorkloadType{2, "B", 1.0, 0.5}},
+      1.0});
+  workload.phases.push_back(WorkloadPhase{
+      0,
+      {WorkloadType{1, "A", 1.0, 0.5}, WorkloadType{2, "B", 100.0, 0.5}},
+      1.0});
+
+  ClusterConfig config;
+  config.num_workers = 8;
+  config.rate_rps = 0.8 * workload.PeakLoadRps(config.num_workers);
+  config.duration = 800 * kMillisecond;
+  config.warmup_fraction = 0;
+  config.seed = seed;
+  config.telemetry.timeseries.enabled = true;
+  config.telemetry.timeseries.interval = 50 * kMillisecond;
+  config.telemetry.timeseries.slowdown_sample_every = 1;
+
+  PersephoneOptions options;
+  options.scheduler.mode = PolicyMode::kDarc;
+  options.seed_profiles = false;  // learn from live profiling windows
+  options.scheduler.profiler.min_window_samples = 5000;
+
+  ClusterEngine engine(workload, config,
+                       std::make_unique<PersephonePolicy>(options));
+  engine.Run();
+
+  RunArtifacts out;
+  out.snapshot_json = engine.telemetry_snapshot().ToJson();
+  out.intervals = engine.telemetry().timeseries()->History();
+  out.updates = engine.telemetry().reservation_updates();
+  out.completed = engine.metrics().TotalCount();
+  return out;
 }
 
-IntervalRecord MakeInterval(uint64_t seq, uint64_t completions,
-                            uint64_t violations) {
-  IntervalRecord rec;
-  rec.seq = seq;
-  rec.start = static_cast<Nanos>(seq) * 1000;
-  rec.end = rec.start + 1000;
-  TypeIntervalStats t;
-  t.type = 1;
-  t.completions = completions;
-  t.slo_violations = violations;
-  rec.types.push_back(t);
-  return rec;
+// Shared across tests in this file (the sim run is the expensive part);
+// NOLINTNEXTLINE: intentionally leaked test fixture.
+const RunArtifacts& Artifacts() {
+  static const RunArtifacts* artifacts =
+      new RunArtifacts(RunSeededAdaptation(/*seed=*/7));
+  return *artifacts;
 }
 
-TEST(SloMonitor, AlertsOnBurnRateAndCoolsDown) {
-  SloMonitor monitor(MonitorConfig());
-  EXPECT_DOUBLE_EQ(monitor.TargetSlowdownFor("A"), 10.0);
-  EXPECT_DOUBLE_EQ(monitor.TargetSlowdownFor("Z"), 0.0);
-  const std::map<uint32_t, std::string> names = {{1, "A"}};
+// --- Determinism ------------------------------------------------------------
 
-  // 5/100 violations against a 1% budget → burn rate 5.0 ≥ 1.0.
-  auto alerts = monitor.OnInterval(MakeInterval(0, 100, 5), names);
-  ASSERT_EQ(alerts.size(), 1u);
-  EXPECT_EQ(alerts[0].type_name, "A");
-  EXPECT_NEAR(alerts[0].burn_rate, 5.0, 1e-9);
-  EXPECT_EQ(alerts[0].interval_seq, 0u);
-  EXPECT_EQ(alerts[0].window_violations, 5u);
+TEST(TimeSeriesDeterminism, SeededRunsAreByteIdentical) {
+  const RunArtifacts& first = Artifacts();
+  const RunArtifacts second = RunSeededAdaptation(/*seed=*/7);
 
-  // Cooldown: same breach in the next interval stays silent.
-  alerts = monitor.OnInterval(MakeInterval(1, 100, 5), names);
-  EXPECT_TRUE(alerts.empty());
-
-  // Past the cooldown (4 intervals), it re-alerts.
-  alerts = monitor.OnInterval(MakeInterval(5, 100, 5), names);
-  ASSERT_EQ(alerts.size(), 1u);
-  EXPECT_EQ(monitor.alerts_total(), 2u);
-  EXPECT_EQ(monitor.alerts().size(), 2u);
+  EXPECT_EQ(first.completed, second.completed);
+  ASSERT_EQ(first.snapshot_json, second.snapshot_json)
+      << "snapshot JSON must be bit-deterministic for a fixed seed";
+  EXPECT_NE(first.snapshot_json.find("\"timeseries\":[{"), std::string::npos)
+      << "the snapshot carries no time-series intervals";
 }
 
-TEST(SloMonitor, RespectsMinWindowCompletions) {
-  SloMonitor monitor(MonitorConfig());
-  const std::map<uint32_t, std::string> names = {{1, "A"}};
-  // 100% violating, but only 5 completions (< min 10): startup noise guard.
-  const auto alerts = monitor.OnInterval(MakeInterval(0, 5, 5), names);
-  EXPECT_TRUE(alerts.empty());
+TEST(TimeSeriesDeterminism, DifferentSeedsDiverge) {
+  // Sanity for the identity check above: with a different seed, the arrival
+  // process differs and so must the series.
+  const RunArtifacts other = RunSeededAdaptation(/*seed=*/8);
+  EXPECT_NE(Artifacts().snapshot_json, other.snapshot_json);
 }
 
-TEST(SloMonitor, WithinBudgetStaysSilent) {
-  SloMonitor monitor(MonitorConfig());
-  const std::map<uint32_t, std::string> names = {{1, "A"}};
-  for (uint64_t seq = 0; seq < 8; ++seq) {
-    // 0.5% violating against a 1% budget → burn rate 0.5 < 1.0.
-    const auto alerts = monitor.OnInterval(MakeInterval(seq, 1000, 5), names);
-    EXPECT_TRUE(alerts.empty()) << "seq " << seq;
+// --- The Fig. 7 dynamic in the series ---------------------------------------
+
+TEST(TimeSeriesDynamics, SeriesShowsReservationSharesChanging) {
+  const RunArtifacts& run = Artifacts();
+  ASSERT_GE(run.intervals.size(), 8u);
+
+  // The structured update series must show the bootstrap transition plus at
+  // least one adaptive update after the phase flip, stamped with the profiler
+  // window that triggered it.
+  ASSERT_GE(run.updates.size(), 2u);
+  for (size_t i = 1; i < run.updates.size(); ++i) {
+    EXPECT_GT(run.updates[i].seq, run.updates[i - 1].seq);
+    EXPECT_GE(run.updates[i].at, run.updates[i - 1].at);
   }
-  EXPECT_EQ(monitor.alerts_total(), 0u);
-}
-
-TEST(SloMonitor, TakeUndumpedDrainsOnce) {
-  SloMonitor monitor(MonitorConfig());
-  const std::map<uint32_t, std::string> names = {{1, "A"}};
-  monitor.OnInterval(MakeInterval(0, 100, 50), names);
-  auto undumped = monitor.TakeUndumped();
-  ASSERT_EQ(undumped.size(), 1u);
-  EXPECT_TRUE(monitor.TakeUndumped().empty());
-  // The permanent alert log still holds it.
-  EXPECT_EQ(monitor.alerts().size(), 1u);
-}
-
-// --- Flight recorder --------------------------------------------------------
-
-TEST(FlightRecorder, BuildsSelfDescribingRecord) {
-  SloAlert alert;
-  alert.at = 5000;
-  alert.interval_seq = 4;
-  alert.type_name = "A";
-  alert.burn_rate = 5.0;
-  alert.window_completions = 100;
-  alert.window_violations = 5;
-  const std::vector<IntervalRecord> intervals = {MakeInterval(4, 100, 5)};
-  TelemetrySnapshot snapshot;
-  snapshot.counters["scheduler.completed"] = 100;
-  const std::string record = BuildFlightRecord({alert}, intervals, snapshot);
-  EXPECT_NE(record.find("\"alerts\""), std::string::npos);
-  EXPECT_NE(record.find("\"A\""), std::string::npos);
-  EXPECT_NE(record.find("\"intervals_csv\""), std::string::npos);
-  EXPECT_NE(record.find("\"snapshot\""), std::string::npos);
-  EXPECT_NE(record.find("scheduler.completed"), std::string::npos);
-}
-
-// A long or control-laden type name cannot cut the alert object short.
-TEST(FlightRecorder, AlertTypeNameIsEscapedAndWhole) {
-  SloAlert alert;
-  alert.at = 5000;
-  alert.interval_seq = 4;
-  alert.type_name = std::string(300, 'x') + "\"\n";
-  alert.burn_rate = 5.0;
-  alert.window_completions = 100;
-  alert.window_violations = 5;
-  const std::string record =
-      BuildFlightRecord({alert}, {}, TelemetrySnapshot{});
-  EXPECT_NE(record.find("{\"at\":5000,\"interval_seq\":4,\"type\":\"" +
-                        std::string(300, 'x') +
-                        "\\\"\\n\",\"burn_rate\":5.000,"
-                        "\"window_completions\":100,"
-                        "\"window_violations\":5}],"),
-            std::string::npos);
-}
-
-TEST(FlightRecorder, TelemetryDumpsOnViolationStorm) {
-  const std::string path = "/tmp/psp_flight_test.json";
-  std::remove(path.c_str());
-
-  TelemetryConfig config;
-  config.timeseries = SmallConfig();
-  config.slo.targets.push_back(SloTarget{"A", 10.0, 0.01});
-  config.slo.window_intervals = 2;
-  config.slo.min_window_completions = 10;
-  config.slo.flight_path = path;
-  config.slo.flight_intervals = 8;
-  ASSERT_EQ(config.Validate(), "");
-
-  Telemetry telemetry(config);
-  ASSERT_NE(telemetry.timeseries(), nullptr);
-  ASSERT_NE(telemetry.slo(), nullptr);
-  const size_t a = telemetry.RegisterSeries(1, "A");
-  ASSERT_NE(a, SIZE_MAX);
-
-  // The target armed the recorder's violation threshold via RegisterSeries:
-  // a storm of 20x-slowdown completions must trip the monitor.
-  TimeSeriesRecorder* rec = telemetry.timeseries();
-  for (int i = 0; i < 50; ++i) {
-    rec->RecordCompletion(a, /*latency=*/2000, /*service=*/100, 100 + i);
+  for (const ReservationUpdate& update : run.updates) {
+    EXPECT_FALSE(update.shares.empty());
   }
-  telemetry.AdvanceTimeSeries(1000);  // closes the interval, alert fires
-  telemetry.AdvanceTimeSeries(1100);  // next watchdog tick performs the dump
 
-  std::ifstream in(path);
-  ASSERT_TRUE(in.good()) << "flight record was not written";
-  std::stringstream contents;
-  contents << in.rdbuf();
-  EXPECT_NE(contents.str().find("\"alerts\""), std::string::npos);
-  EXPECT_NE(contents.str().find("\"A\""), std::string::npos);
-  std::remove(path.c_str());
-}
+  // Updates land inside intervals: the per-interval reservation_updates
+  // deltas must add up to the structured series' length.
+  uint64_t interval_updates = 0;
+  for (const IntervalRecord& interval : run.intervals) {
+    interval_updates += interval.reservation_updates;
+  }
+  EXPECT_EQ(interval_updates, run.updates.size());
 
-TEST(FlightRecorder, WriteTextFileRoundTrip) {
-  const std::string path = "/tmp/psp_write_test.txt";
-  ASSERT_TRUE(WriteTextFile(path, "hello\nworld\n"));
-  std::ifstream in(path);
-  std::stringstream contents;
-  contents << in.rdbuf();
-  EXPECT_EQ(contents.str(), "hello\nworld\n");
-  std::remove(path.c_str());
-  EXPECT_FALSE(WriteTextFile("/nonexistent-dir/x/y", "nope"));
+  // And the sampled reserved_workers gauge must take at least two distinct
+  // values for some type across the run (A's share swaps with B's at the
+  // phase flip).
+  std::map<uint32_t, std::set<int64_t>> reserved_values;
+  for (const IntervalRecord& interval : run.intervals) {
+    for (const TypeIntervalStats& stats : interval.types) {
+      if (stats.reserved_workers >= 0) {
+        reserved_values[stats.type].insert(stats.reserved_workers);
+      }
+    }
+  }
+  bool some_type_changed = false;
+  for (const auto& [type, values] : reserved_values) {
+    if (values.size() >= 2) {
+      some_type_changed = true;
+    }
+  }
+  EXPECT_TRUE(some_type_changed)
+      << "reserved shares never moved: the adaptation is not visible in the "
+         "time-series";
+
+  // Slowdown percentiles were sampled (sample_every = 1).
+  uint64_t samples = 0;
+  for (const IntervalRecord& interval : run.intervals) {
+    for (const TypeIntervalStats& stats : interval.types) {
+      samples += stats.slowdown_samples;
+    }
+  }
+  EXPECT_GT(samples, 0u);
 }
 
 }  // namespace

@@ -14,17 +14,13 @@
 //   outliers           GET /outliers.json
 //   lifecycle          GET /lifecycle.json (sampled per-request records)
 //   health             GET /healthz
-//   trace start        POST /trace/start   (arms an on-demand capture)
-//   trace stop         POST /trace/stop    (returns the trace; use --out)
 //   profile [HZ [DUR]] one-shot CPU profile: POST /profile/start?hz=HZ,
 //                      wait DUR seconds locally (defaults 99 Hz, 2 s),
 //                      POST /profile/stop, GET /profile.folded and print
 //                      the folded stacks (use --out for flamegraph.pl).
-//   profile start [HZ [DUR]] | profile stop | profile folded
-//                      drive the endpoints individually (start with DUR
-//                      arms the server-side auto-stop).
-//   flight             POST /flightrecorder/dump
-//   set KEY=VALUE...   POST /config  (e.g. set sampling=64)
+//   profile start [HZ] | profile stop | profile folded
+//                      drive the endpoints individually (a started capture
+//                      runs until `profile stop`).
 //   federate H:P...    scrape /metrics from N independent server processes
 //                      and merge: every sample gains a server="i" label,
 //                      counter families are summed into psp_fleet_*
@@ -72,9 +68,9 @@ int UsageError(const char* detail) {
                "usage: pspctl [--port P | --host H:P | --uds PATH] "
                "[--out FILE] [--check]\n"
                "              metrics|snapshot|timeseries|outliers|"
-               "lifecycle|health|flight|trace start|stop|set K=V...\n"
+               "lifecycle|health\n"
                "       pspctl [endpoint flags] profile [HZ [DUR_SEC]]\n"
-               "       pspctl [endpoint flags] profile start [HZ [DUR]]|"
+               "       pspctl [endpoint flags] profile start [HZ]|"
                "stop|folded\n"
                "       pspctl [--out FILE] [--check] federate HOST:PORT...\n"
                "       pspctl checkfile FILE\n",
@@ -137,18 +133,18 @@ bool SendAll(int fd, const std::string& data) {
   return true;
 }
 
-// Issues one request; returns the HTTP status (or -1 on transport failure)
-// and fills `body`.
+// Issues one body-less request; returns the HTTP status (or -1 on transport
+// failure) and fills `body`.
 int Request(const Options& opt, const std::string& method,
-            const std::string& path, const std::string& payload,
-            std::string* body, std::string* error) {
+            const std::string& path, std::string* body, std::string* error) {
   const int fd = Connect(opt, error);
   if (fd < 0) {
     return -1;
   }
-  std::string req = method + " " + path + " HTTP/1.1\r\nHost: " + opt.host +
-                    "\r\nConnection: close\r\nContent-Length: " +
-                    std::to_string(payload.size()) + "\r\n\r\n" + payload;
+  const std::string req = method + " " + path + " HTTP/1.1\r\nHost: " +
+                          opt.host +
+                          "\r\nConnection: close\r\nContent-Length: 0"
+                          "\r\n\r\n";
   if (!SendAll(fd, req)) {
     *error = "send failed";
     ::close(fd);
@@ -272,7 +268,7 @@ int main(int argc, char** argv) {
       std::string body;
       std::string error;
       const int status =
-          Request(endpoint, "GET", "/metrics", "", &body, &error);
+          Request(endpoint, "GET", "/metrics", &body, &error);
       if (status < 0) {
         std::fprintf(stderr, "pspctl: %s: %s\n", args[i].c_str(),
                      error.c_str());
@@ -308,7 +304,7 @@ int main(int argc, char** argv) {
     auto one_request = [&](const std::string& method, const std::string& path,
                            std::string* body) -> int {
       std::string error;
-      const int status = Request(opt, method, path, "", body, &error);
+      const int status = Request(opt, method, path, body, &error);
       if (status < 0) {
         std::fprintf(stderr, "pspctl: %s\n", error.c_str());
         return 2;
@@ -335,34 +331,31 @@ int main(int argc, char** argv) {
     }
     const bool explicit_start = args.size() >= 2 && args[1] == "start";
     const size_t num_begin = explicit_start ? 2 : 1;
+    if (explicit_start && args.size() > num_begin + 1) {
+      return UsageError("profile start takes only HZ; stop the capture with "
+                        "`profile stop`");
+    }
     double hz = 99.0;
     double dur_sec = 2.0;
-    bool dur_given = false;
     if (args.size() > num_begin) {
       hz = std::atof(args[num_begin].c_str());
     }
     if (args.size() > num_begin + 1) {
       dur_sec = std::atof(args[num_begin + 1].c_str());
-      dur_given = true;
     }
     if (hz < 1 || hz > 10000 || dur_sec < 0 || dur_sec > 3600) {
       return UsageError("profile expects HZ in [1,10000], DUR in [0,3600]");
     }
-    std::string start_path =
+    const std::string start_path =
         "/profile/start?hz=" + std::to_string(static_cast<int>(hz));
     if (explicit_start) {
-      // Explicit start hands the stop to the server-side auto-stop timer
-      // (when DUR is given) or to a later `pspctl profile stop`.
-      if (dur_given) {
-        start_path += "&dur=" + std::to_string(dur_sec);
-      }
+      // The capture runs until a later `pspctl profile stop`.
       if (const int rc = one_request("POST", start_path, &body)) {
         return rc;
       }
       return Emit(opt, body);
     }
-    // One-shot: no server-side dur — this process owns the stop, so the
-    // explicit /profile/stop below can never race an auto-stop into a 409.
+    // One-shot: this process waits DUR locally and owns the stop.
     if (const int rc = one_request("POST", start_path, &body)) {
       return rc;
     }
@@ -385,9 +378,7 @@ int main(int argc, char** argv) {
   }
 
   const std::string& cmd = args[0];
-  std::string method = "GET";
   std::string path;
-  std::string payload;
   if (cmd == "metrics") {
     path = "/metrics";
   } else if (cmd == "snapshot") {
@@ -400,32 +391,13 @@ int main(int argc, char** argv) {
     path = "/lifecycle.json";
   } else if (cmd == "health") {
     path = "/healthz";
-  } else if (cmd == "flight") {
-    method = "POST";
-    path = "/flightrecorder/dump";
-  } else if (cmd == "trace") {
-    if (args.size() != 2 || (args[1] != "start" && args[1] != "stop")) {
-      return UsageError("trace expects 'start' or 'stop'");
-    }
-    method = "POST";
-    path = "/trace/" + args[1];
-  } else if (cmd == "set") {
-    if (args.size() < 2) {
-      return UsageError("set expects KEY=VALUE arguments");
-    }
-    method = "POST";
-    path = "/config";
-    for (size_t i = 1; i < args.size(); ++i) {
-      payload += args[i];
-      payload += '\n';
-    }
   } else {
     return UsageError(("unknown command: " + cmd).c_str());
   }
 
   std::string body;
   std::string error;
-  const int status = Request(opt, method, path, payload, &body, &error);
+  const int status = Request(opt, "GET", path, &body, &error);
   if (status < 0) {
     std::fprintf(stderr, "pspctl: %s\n", error.c_str());
     return 2;
